@@ -8,7 +8,7 @@ threshold rules.
 """
 
 from .data import Config, Dataset, load_csv, validate, write_csv
-from .density import GroupHistograms, bin_index, bin_indices, estimate_histograms
+from .density import GroupHistograms, bin_indices, estimate_histograms
 from .explain import (
     NO_VIOLATION_TEXT,
     Rule,
@@ -75,7 +75,6 @@ __all__ = [
     "auc",
     "best_split",
     "bh_fdr",
-    "bin_index",
     "bin_indices",
     "build_tree",
     "detect",

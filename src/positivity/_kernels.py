@@ -1,97 +1,24 @@
-"""Hot numeric kernels with selectable backends.
+"""The per-feature split scan used by tree building, in numpy.
 
-Two kernels dominate runtime: the per-feature split scan used by tree
-building and histogram binning of propensity scores. Each has a numba
-``@njit`` implementation and a pure-numpy fallback. The backend is
-chosen once at import time from the ``POSITIVITY_BACKEND`` environment
-variable (``numba`` or ``numpy``); unset, numba is used when importable.
-
-Both implementations follow the same floating-point expression order,
-so their outputs are bit-identical (asserted in the test suite). Counts
-enter the arithmetic as exact integers, and the Gini expression
+Counts enter the arithmetic as exact integers, and the Gini expression
 ``1 - (p*p + q*q)`` is symmetric under class swap, which keeps
-tie-breaking deterministic across backends.
+tie-breaking deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba as _nb
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    _HAVE_NUMBA = False
-
-ENV_BACKEND = "POSITIVITY_BACKEND"
-
-
-def _resolve_backend() -> str:
-    pick = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if pick == "numpy":
-        return "numpy"
-    if pick == "numba":
-        if not _HAVE_NUMBA:
-            raise ImportError(
-                f"{ENV_BACKEND}=numba requested but numba is not installed"
-            )
-        return "numba"
-    if pick:
-        raise ValueError(
-            f"unknown {ENV_BACKEND} value {pick!r}, expected numba or numpy"
-        )
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend()
 
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
-def _scan_sorted_feature_py(values, labels):
-    # values ascending, labels in {0, 1} aligned with values.
-    n = values.shape[0]
-    total_pos = 0
-    for i in range(n):
-        total_pos += labels[i]
-    best = np.inf
-    thr = 0.0
-    found = False
-    npos = 0
-    nf = float(n)
-    for i in range(n - 1):
-        npos += labels[i]
-        if values[i] == values[i + 1]:
-            continue
-        nl = float(i + 1)
-        nr = nf - nl
-        lp = float(npos)
-        lneg = nl - lp
-        rp = float(total_pos - npos)
-        rneg = nr - rp
-        pl = lp / nl
-        ql = lneg / nl
-        gl = 1.0 - (pl * pl + ql * ql)
-        pr = rp / nr
-        qr = rneg / nr
-        gr = 1.0 - (pr * pr + qr * qr)
-        score = (nl * gl + nr * gr) / nf
-        if score < best:
-            best = score
-            thr = 0.5 * (values[i] + values[i + 1])
-            found = True
-    return best, thr, found
-
-
-def scan_sorted_feature_numpy(values, labels):
+def scan_sorted_feature(values, labels):
     """Best threshold for one feature, vectorized.
 
+    ``values`` is ascending and ``labels`` (0/1) is aligned with it.
     Returns ``(weighted_gini, threshold, found)`` where the score is the
     child-size-weighted Gini impurity of the best cut. Candidates are
     midpoints between consecutive distinct values; the lowest-scoring
@@ -122,41 +49,3 @@ def scan_sorted_feature_numpy(values, labels):
     k = int(np.argmin(score))
     i = int(cut[k])
     return float(score[k]), 0.5 * (values[i] + values[i + 1]), True
-
-
-def _histogram_counts_py(scores, nbins):
-    counts = np.zeros(nbins, dtype=np.int64)
-    top = nbins - 1
-    for i in range(scores.shape[0]):
-        idx = int(scores[i] * nbins)
-        if idx > top:
-            idx = top
-        counts[idx] += 1
-    return counts
-
-
-def histogram_counts_numpy(scores, nbins):
-    """Counts per equal-width bin over [0, 1]; score 1.0 joins the last bin."""
-    idx = (scores * nbins).astype(np.int64)
-    np.minimum(idx, nbins - 1, out=idx)
-    return np.bincount(idx, minlength=nbins).astype(np.int64)
-
-
-if _HAVE_NUMBA:
-    scan_sorted_feature_numba = _nb.njit(
-        "Tuple((float64, float64, boolean))(float64[::1], int64[::1])",
-        cache=True,
-    )(_scan_sorted_feature_py)
-    histogram_counts_numba = _nb.njit(
-        "int64[::1](float64[::1], int64)", cache=True
-    )(_histogram_counts_py)
-else:  # pragma: no cover - depends on environment
-    scan_sorted_feature_numba = None
-    histogram_counts_numba = None
-
-if _BACKEND == "numba":
-    scan_sorted_feature = scan_sorted_feature_numba
-    histogram_counts = histogram_counts_numba
-else:
-    scan_sorted_feature = scan_sorted_feature_numpy
-    histogram_counts = histogram_counts_numpy

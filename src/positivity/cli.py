@@ -99,9 +99,6 @@ def _load(args: argparse.Namespace):
     """Load the input CSV, returning (dataset, exit_code)."""
     try:
         return load_csv(args.input, args.treatment_col), None
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_USAGE

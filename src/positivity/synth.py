@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .propensity import _sigmoid
 
 DEFAULT_COVARIATES = (
     ("profile_age", "uniform", (0.0, 3000.0)),
@@ -127,15 +128,6 @@ class SynthSpec:
             f"{_NOISE_PREFIX}{k}" for k in range(self.noise_covariates)
         )
         return own + noise
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def carve_mask(

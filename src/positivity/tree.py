@@ -89,7 +89,7 @@ def best_split(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a 2-d array")
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     n, d = features.shape
     if labels.shape != (n,):
         raise ValueError("labels must align with feature rows")
@@ -100,8 +100,7 @@ def best_split(
         col = features[:, j]
         order = np.argsort(col)
         score, thr, found = _kernels.scan_sorted_feature(
-            np.ascontiguousarray(col[order]),
-            np.ascontiguousarray(labels[order]),
+            col[order], labels[order]
         )
         if not found or not score < parent:
             continue

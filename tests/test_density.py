@@ -5,42 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import (
-    GroupHistograms,
-    bin_index,
-    bin_indices,
-    estimate_histograms,
-)
+from positivity import GroupHistograms, bin_indices, estimate_histograms
+
+
+def bin_of(score, bins):
+    return int(bin_indices(np.array([score]), bins)[0])
 
 
 class TestBinIndex:
     def test_low_score_first_bin(self):
-        assert bin_index(0.005, 100) == 0
+        assert bin_of(0.005, 100) == 0
 
     def test_one_clamped_to_last_bin(self):
-        assert bin_index(1.0, 100) == 99
+        assert bin_of(1.0, 100) == 99
 
     def test_half_open_boundary_goes_up(self):
-        assert bin_index(0.50, 100) == 50
+        assert bin_of(0.50, 100) == 50
 
     def test_zero(self):
-        assert bin_index(0.0, 100) == 0
+        assert bin_of(0.0, 100) == 0
 
     @pytest.mark.parametrize("score", [-0.01, 1.01])
     def test_out_of_range_rejected(self, score):
-        with pytest.raises(ValueError):
-            bin_index(score, 100)
+        with pytest.raises(ValueError, match="outside"):
+            bin_indices(np.array([0.5, score]), 100)
 
     def test_too_few_bins_rejected(self):
-        with pytest.raises(ValueError):
-            bin_index(0.5, 1)
+        with pytest.raises(ValueError, match="bins"):
+            bin_indices(np.array([0.5]), 1)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         scores = rng.random(500)
         idx = bin_indices(scores, 37)
         for s, i in zip(scores, idx):
-            assert bin_index(float(s), 37) == i
+            assert min(int(float(s) * 37), 36) == i
 
 
 class TestEstimateHistograms:
@@ -54,6 +53,14 @@ class TestEstimateHistograms:
         assert hist.counts1[9] == 1
         assert hist.counts0.sum() == 2
         assert hist.counts1.sum() == 1
+
+    def test_exact_one_in_last_bin(self):
+        hist = estimate_histograms(
+            np.array([0.0, 1.0, 0.999999, 0.5]), np.array([0, 0, 0, 1]), 100
+        )
+        assert hist.counts0[0] == 1
+        assert hist.counts0[99] == 2
+        assert hist.counts1[50] == 1
 
     def test_equal_scores_give_identical_normalized_vectors(self):
         scores = np.tile(np.array([0.2, 0.4, 0.6, 0.8]), 2)

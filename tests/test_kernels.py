@@ -1,8 +1,4 @@
-"""Backend selection and bit-identical numba/numpy kernel behavior."""
-
-import os
-import subprocess
-import sys
+"""The numpy split-scan kernel against hand cases and direct enumeration."""
 
 import numpy as np
 import pytest
@@ -12,51 +8,15 @@ from hypothesis import strategies as st
 from positivity import _kernels as kernels
 
 
-def random_sorted_case(rng, n, dup_prob=0.3):
-    values = np.sort(rng.standard_normal(n))
-    if n > 1:
-        dup = rng.random(n - 1) < dup_prob
-        for i in range(n - 1):
-            if dup[i]:
-                values[i + 1] = values[i]
-    labels = rng.integers(0, 2, n)
-    return np.ascontiguousarray(values), np.ascontiguousarray(labels)
-
-
-class TestBackendSelection:
-    def test_resolve_explicit_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "numpy")
-        assert kernels._resolve_backend() == "numpy"
-
-    def test_resolve_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "cuda")
-        with pytest.raises(ValueError, match="cuda"):
-            kernels._resolve_backend()
-
-    def test_active_backend_reports_a_valid_name(self):
-        assert kernels.active_backend() in ("numba", "numpy")
-
-    def test_env_flag_selects_numpy_in_subprocess(self):
-        env = dict(os.environ, POSITIVITY_BACKEND="numpy")
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import positivity._kernels as k; print(k.active_backend())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+def test_active_backend_is_numpy():
+    assert kernels.active_backend() == "numpy"
 
 
 class TestScanSortedFeature:
     def test_perfect_split(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         labels = np.array([0, 0, 1, 1], dtype=np.int64)
-        score, thr, found = kernels.scan_sorted_feature_numpy(values, labels)
+        score, thr, found = kernels.scan_sorted_feature(values, labels)
         assert found
         assert score == 0.0
         assert thr == 2.5
@@ -64,51 +24,16 @@ class TestScanSortedFeature:
     def test_constant_values_no_candidate(self):
         values = np.array([2.0, 2.0, 2.0])
         labels = np.array([0, 1, 0], dtype=np.int64)
-        _, _, found = kernels.scan_sorted_feature_numpy(values, labels)
+        _, _, found = kernels.scan_sorted_feature(values, labels)
         assert not found
 
     def test_tie_keeps_lowest_threshold(self):
         # labels symmetric around the middle: cuts at 1.5 and 2.5 tie.
         values = np.array([1.0, 2.0, 3.0])
         labels = np.array([1, 0, 1], dtype=np.int64)
-        _, thr, found = kernels.scan_sorted_feature_numpy(values, labels)
+        _, thr, found = kernels.scan_sorted_feature(values, labels)
         assert found
         assert thr == 1.5
-
-
-@pytest.mark.skipif(
-    kernels.scan_sorted_feature_numba is None, reason="numba not installed"
-)
-class TestBackendEquivalence:
-    def test_scan_bit_identical_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            n = int(rng.integers(2, 60))
-            values, labels = random_sorted_case(rng, n)
-            got_np = kernels.scan_sorted_feature_numpy(values, labels)
-            got_nb = kernels.scan_sorted_feature_numba(values, labels)
-            assert got_np[2] == got_nb[2]
-            if got_np[2]:
-                # Bit-equality, not approximate: same expression order.
-                assert got_np[0] == got_nb[0]
-                assert got_np[1] == got_nb[1]
-
-    def test_histogram_bit_identical_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            n = int(rng.integers(1, 500))
-            scores = np.ascontiguousarray(rng.random(n))
-            bins = int(rng.integers(2, 150))
-            got_np = kernels.histogram_counts_numpy(scores, bins)
-            got_nb = kernels.histogram_counts_numba(scores, bins)
-            np.testing.assert_array_equal(got_np, got_nb)
-
-    def test_histogram_includes_exact_one(self):
-        scores = np.array([0.0, 1.0, 0.999999])
-        got_np = kernels.histogram_counts_numpy(scores, 100)
-        got_nb = kernels.histogram_counts_numba(scores, 100)
-        np.testing.assert_array_equal(got_np, got_nb)
-        assert got_np[99] == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,11 +47,9 @@ class TestBackendEquivalence:
     )
 )
 def test_scan_matches_direct_enumeration(data):
-    values = np.ascontiguousarray(np.sort([v * 0.125 for v, _ in data]))
-    labels = np.ascontiguousarray(
-        np.array([int(b) for _, b in data], dtype=np.int64)
-    )
-    score, thr, found = kernels.scan_sorted_feature_numpy(values, labels)
+    values = np.sort([v * 0.125 for v, _ in data])
+    labels = np.array([int(b) for _, b in data], dtype=np.int64)
+    score, thr, found = kernels.scan_sorted_feature(values, labels)
 
     def gini_of(mask):
         n = mask.sum()
