@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 
-from .data import Config, load_csv, write_csv
+from .data import _TEST_KINDS, Config, load_csv, write_csv
 from .explain import NO_VIOLATION_TEXT, render_report, render_text
 from .figures import emit_histogram_svg
 from .pipeline import AnalysisResult, DataError, analyze_dataset
@@ -57,28 +57,29 @@ def _configure_logging() -> None:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = Config()
     parser.add_argument(
         "--treatment-col", required=True,
         help="name of the binary treatment column",
     )
-    parser.add_argument("--bins", type=int, default=100,
-                        help="histogram bin count (default 100)")
-    parser.add_argument("--alpha", type=float, default=0.01,
-                        help="significance level (default 0.01)")
-    parser.add_argument("--beta", type=float, default=0.9,
-                        help="pruning purity threshold (default 0.9)")
-    parser.add_argument("--gamma", type=float, default=0.01,
-                        help="pruning mass threshold (default 0.01)")
-    parser.add_argument("--noise-threshold", type=int, default=0,
-                        help="histogram count treated as noise (default 0)")
-    parser.add_argument("--test", choices=("z", "fisher"), default="z",
-                        help="per-bin test (default z)")
-    parser.add_argument("--max-depth", type=int, default=10,
-                        help="tree depth limit (default 10)")
-    parser.add_argument("--folds", type=int, default=1,
-                        help="cross-fitting folds, 1 = in-sample (default 1)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (default 0)")
+
+    def flag(name, field, kind, text, **extra):
+        parser.add_argument(
+            name, type=kind, default=getattr(defaults, field),
+            help=f"{text} (default %(default)s)", **extra,
+        )
+
+    flag("--bins", "bins", int, "histogram bin count")
+    flag("--alpha", "alpha", float, "significance level")
+    flag("--beta", "beta", float, "pruning purity threshold")
+    flag("--gamma", "gamma", float, "pruning mass threshold")
+    flag("--noise-threshold", "noise_threshold", int,
+         "histogram count treated as noise")
+    flag("--test", "test_kind", str, "per-bin test", choices=_TEST_KINDS)
+    flag("--max-depth", "max_depth", int, "tree depth limit")
+    flag("--folds", "cross_fit_folds", int,
+         "cross-fitting folds, 1 = in-sample")
+    flag("--seed", "seed", int, "random seed")
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
@@ -128,36 +129,30 @@ def _analyze(args: argparse.Namespace):
 def _write_outputs(result: AnalysisResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     rulesets = list(result.rulesets)
-    text = render_text(rulesets, result.report, result.propensity)
-    with open(
-        os.path.join(out_dir, "report.txt"), "w", encoding="utf-8",
-        newline="\n",
-    ) as fh:
-        fh.write(text)
+
+    def write(name: str, text: str) -> None:
+        with open(
+            os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n"
+        ) as fh:
+            fh.write(text)
+
+    write("report.txt", render_text(rulesets, result.report, result.propensity))
     doc = render_report(
         result.config, result.report, result.propensity, rulesets
     )
-    with open(
-        os.path.join(out_dir, "report.json"), "w", encoding="utf-8",
-        newline="\n",
-    ) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    write("report.json", json.dumps(doc, indent=2) + "\n")
     emit_histogram_svg(
         result.histograms, result.report,
         os.path.join(out_dir, "histogram.svg"),
     )
     for group, filename in _GROUP_FILES.items():
         tree = result.trees[group]
-        body = (
+        write(
+            filename,
             render_tree_text(tree)
             if tree is not None
-            else f"group {group}: no tree (no violating samples to explain)\n"
+            else f"group {group}: no tree (no violating samples to explain)\n",
         )
-        with open(
-            os.path.join(out_dir, filename), "w", encoding="utf-8",
-            newline="\n",
-        ) as fh:
-            fh.write(body)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -285,3 +280,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -11,7 +11,7 @@ samples, so ``(n_pos, n_neg)`` always matches the leaf counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -203,18 +203,7 @@ def render_report(
         raise ValueError("non-finite propensity metrics")
     return {
         "version": 1,
-        "config": {
-            "bins": config.bins,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "gamma": config.gamma,
-            "noise_threshold": config.noise_threshold,
-            "test_kind": config.test_kind,
-            "max_depth": config.max_depth,
-            "cross_fit_folds": config.cross_fit_folds,
-            "seed": config.seed,
-            "propensity_bins": config.propensity_bins,
-        },
+        "config": asdict(config),
         "verdict": (
             "violation" if report.violation_detected else "no_violation"
         ),

@@ -6,9 +6,11 @@ negative log-likelihood
     J(w, b) = mean(log(1 + exp(z)) - t * z) + (lambda / 2) * ||w||^2,
     z = x_std @ w + b,
 
-with the intercept unpenalized. Iteration stops when the gradient
-max-norm drops below ``tol`` or after ``max_iter`` steps (the model
-records which). Features are standardized per column; constant columns
+with the intercept unpenalized. Each step is halved until the loss
+does not increase. Iteration stops when the gradient max-norm drops
+below a fixed 1e-8, after ``max_iter`` steps, or at the first step
+where no halving keeps the loss from rising; the model records whether
+it converged. Features are standardized per column; constant columns
 get standard deviation 1 and a weight of exactly 0.
 
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
@@ -19,13 +21,16 @@ pipeline feeds into this model. A linear score is monotone along a
 single direction of feature space, so it cannot isolate an interior
 rectangular region; indicator columns for per-feature equal-width bins
 plus pairwise bin-interaction cells make such regions separable while
-keeping the model logistic and convex.
+keeping the model logistic and convex. Pair blocks are added in feature
+order up to :data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap
+are dropped with a logged warning.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,6 +41,10 @@ logger = logging.getLogger(__name__)
 
 _SCORE_EPS = 1e-15
 _MAX_HALVINGS = 30
+_GRAD_TOL = 1e-8
+
+# column cap of the design built by expand_features
+MAX_DESIGN_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -120,13 +129,15 @@ def _standardize(features: NDArray[np.float64]):
 def fit(
     dataset: Dataset,
     l2_lambda: float = 1e-4,
-    tol: float = 1e-8,
     max_iter: int = 1000,
 ) -> PropensityModel:
     """Fit the regularized logistic model to a dataset.
 
-    Non-convergence within ``max_iter`` is reported on the model (and
-    logged), not raised; a non-finite loss is an error.
+    Stops when the gradient max-norm drops below 1e-8 (converged),
+    after ``max_iter`` Newton steps, or at the first step whose
+    halvings all leave the loss higher; the last two are reported on
+    the model and logged as a warning, not raised. A non-finite loss
+    at the start is an error.
     """
     if l2_lambda < 0.0:
         raise ValueError("l2_lambda must be >= 0")
@@ -139,13 +150,9 @@ def fit(
     loss, grad = logistic_loss_grad(params, x_std, labels, l2_lambda)
     if not np.isfinite(loss):
         raise RuntimeError("non-finite loss at initialization")
-    converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        if np.abs(grad).max() < tol:
-            converged = True
-            it -= 1
-            break
+    while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
+        it += 1
         z = x_std @ params[:-1] + params[-1]
         p = _sigmoid(z)
         weight = p * (1.0 - p)
@@ -171,17 +178,15 @@ def fit(
                 break
             scale *= 0.5
         else:
-            candidate, new_loss, new_grad = params, loss, grad
+            # the next step would repeat this same failed search
+            break
         params, loss, grad = candidate, new_loss, new_grad
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at iteration {it}")
-    else:
-        converged = bool(np.abs(grad).max() < tol)
-        it = max_iter
+    converged = bool(np.abs(grad).max() < _GRAD_TOL)
     if not converged:
         logger.warning(
-            "propensity fit stopped at max_iter=%d with gradient max-norm %.3e",
-            max_iter, float(np.abs(grad).max()),
+            "propensity fit stopped unconverged after %d iterations "
+            "(max_iter=%d) with gradient max-norm %.3e",
+            it, max_iter, float(np.abs(grad).max()),
         )
     else:
         logger.debug("propensity fit converged in %d iterations", it)
@@ -300,84 +305,70 @@ def _is_binary(column: NDArray[np.float64]) -> bool:
     return bool(np.isin(column, (0.0, 1.0)).all())
 
 
-def expand_features(
-    dataset: Dataset,
-    bins: int = 16,
-    include_pairs: bool = True,
-    max_columns: int = 2048,
-) -> Dataset:
+def expand_features(dataset: Dataset, bins: int = 16) -> Dataset:
     """Augment features with bin indicators and pairwise interaction cells.
 
-    Every non-constant feature gets a level index per row: binary
-    columns use their own value, other numeric columns are cut into
-    ``bins`` equal-width intervals over their observed range. The
-    output keeps the original columns, appends one indicator column per
-    numeric level, and (optionally) one indicator per pair of features
-    and level combination. Pair blocks are added in feature order and
-    skipped once ``max_columns`` would be exceeded. Empty levels yield
-    constant columns, which the fit leaves at weight zero.
+    Every non-constant feature gets a level code per row: binary
+    columns use their own value (2 levels), other numeric columns are
+    cut into ``bins`` equal-width intervals over their observed range.
+    The design lists blocks of level codes: one indicator block per
+    numeric (non-binary) feature, then one cell block per feature pair
+    in feature order, stopping at the first pair that would take the
+    design past :data:`MAX_DESIGN_COLUMNS` (logged as a warning). The
+    output keeps the original columns first and scatters each block
+    into its indicator columns. Empty levels yield constant columns,
+    which the fit leaves at weight zero.
     """
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     feats = dataset.features
     n, d = feats.shape
-    levels: list[NDArray[np.int64] | None] = []
-    n_levels: list[int] = []
-    columns: list[NDArray[np.float64]] = [feats]
-    names: list[str] = list(dataset.feature_names)
+    raw_names = dataset.feature_names
+    # per non-constant feature: (index, level codes, level count)
+    coded: list[tuple[int, NDArray[np.int64], int]] = []
+    blocks: list[tuple[NDArray[np.int64], int, list[str]]] = []
     for j in range(d):
         col = feats[:, j]
         lo = col.min()
         hi = col.max()
         if lo == hi:
-            levels.append(None)
-            n_levels.append(0)
             continue
         if _is_binary(col):
-            levels.append(col.astype(np.int64))
-            n_levels.append(2)
+            coded.append((j, col.astype(np.int64), 2))
             continue
         width = (hi - lo) / bins
         idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
-        levels.append(idx)
-        n_levels.append(bins)
-        onehot = np.zeros((n, bins), dtype=np.float64)
-        onehot[np.arange(n), idx] = 1.0
-        columns.append(onehot)
-        names.extend(
-            f"{dataset.feature_names[j]}::bin{b}" for b in range(bins)
+        coded.append((j, idx, bins))
+        blocks.append(
+            (idx, bins, [f"{raw_names[j]}::bin{b}" for b in range(bins)])
         )
-    total = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
-    if include_pairs:
-        for a in range(d):
-            if levels[a] is None:
-                continue
-            for b in range(a + 1, d):
-                if levels[b] is None:
-                    continue
-                cells = n_levels[a] * n_levels[b]
-                if total + cells > max_columns:
-                    logger.warning(
-                        "expand_features: column cap %d reached, skipping "
-                        "remaining feature pairs", max_columns,
-                    )
-                    break
-                cell_idx = levels[a] * n_levels[b] + levels[b]
-                onehot = np.zeros((n, cells), dtype=np.float64)
-                onehot[np.arange(n), cell_idx] = 1.0
-                columns.append(onehot)
-                pair = f"{dataset.feature_names[a]}*{dataset.feature_names[b]}"
-                names.extend(
-                    f"{pair}::cell{la}x{lb}"
-                    for la in range(n_levels[a])
-                    for lb in range(n_levels[b])
-                )
-                total += cells
-            else:
-                continue
+    n_cols = d + sum(k for _, k, _ in blocks)
+    for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
+        if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
+            logger.warning(
+                "expand_features: column cap %d reached, skipping "
+                "remaining feature pairs", MAX_DESIGN_COLUMNS,
+            )
             break
+        pair = f"{raw_names[a]}*{raw_names[b]}"
+        blocks.append((
+            codes_a * kb + codes_b,
+            ka * kb,
+            [f"{pair}::cell{la}x{lb}" for la in range(ka) for lb in range(kb)],
+        ))
+        n_cols += ka * kb
+    names = list(raw_names)
+    for _, _, block_names in blocks:
+        names.extend(block_names)
     if len(set(names)) != len(names):
         raise ValueError(
             "expanded feature names collide with existing columns"
         )
-    return Dataset(np.hstack(columns), dataset.treatment, tuple(names))
+    design = np.zeros((n, n_cols), dtype=np.float64)
+    design[:, :d] = feats
+    rows = np.arange(n)
+    start = d
+    for codes, k, _ in blocks:
+        design[rows, start + codes] = 1.0
+        start += k
+    return Dataset(design, dataset.treatment, tuple(names))

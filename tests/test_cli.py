@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from positivity import (
+    Config,
     NO_VIOLATION_TEXT,
     estimate_histograms,
     render_histogram_svg,
 )
-from positivity.cli import main
+from positivity.cli import _config_from_args, build_parser, main
 from positivity.violation import BinTest, ViolationReport
 
 
@@ -232,6 +233,26 @@ class TestSynthCommand:
         )
         assert proc.returncode == 0
         assert path.is_file()
+
+    def test_module_run_writes_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "positivity.cli", "synth", str(path),
+                "--n", "200",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert path.is_file()
+
+
+def test_flag_defaults_are_config_defaults():
+    args = build_parser().parse_args(
+        ["analyze", "x.csv", "--treatment-col", "t"]
+    )
+    assert _config_from_args(args) == Config()
 
 
 class TestSvgRendering:

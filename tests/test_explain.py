@@ -1,6 +1,7 @@
 """Rule extraction, simplification, phrasing, and the JSON document."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -246,6 +247,10 @@ class TestRenderReport:
         assert list(doc.keys()) == [
             "version", "config", "verdict", "propensity", "bins", "groups",
         ]
+
+    def test_config_lists_every_field_in_order(self):
+        doc = self.build()
+        assert list(doc["config"]) == [f.name for f in fields(Config)]
 
     def test_verdict_and_bins(self):
         doc = self.build()

@@ -1,6 +1,8 @@
 """Logistic propensity model: loss, fit, predict, metrics, expansion."""
 
+import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from positivity import (
     logistic_loss_grad,
     predict,
 )
+from positivity import propensity
+from positivity.propensity import MAX_DESIGN_COLUMNS
 
 
 def logit(p):
@@ -96,6 +100,24 @@ class TestFit:
         model = fit(make_dataset(seed=3))
         assert model.converged
         assert model.n_iter >= 1
+
+    def test_stops_at_first_failed_line_search(self, monkeypatch, caplog):
+        real = propensity.logistic_loss_grad
+        calls = []
+
+        def every_step_worse(params, *args):
+            loss, grad = real(params, *args)
+            calls.append(None)
+            return (loss if len(calls) == 1 else loss + 1.0), grad
+
+        monkeypatch.setattr(propensity, "logistic_loss_grad", every_step_worse)
+        with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
+            model = fit(make_dataset(seed=3), max_iter=50)
+        assert model.n_iter == 1
+        assert not model.converged
+        # the initial loss plus one search of 30 halvings
+        assert len(calls) == 31
+        assert "propensity fit stopped unconverged" in caplog.text
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -252,7 +274,7 @@ class TestExpandFeatures:
 
     def test_indicator_blocks_partition_rows(self):
         ds = self.make()
-        out = expand_features(ds, bins=4, include_pairs=False)
+        out = expand_features(ds, bins=4)
         for base in ("a", "b"):
             block = [
                 j
@@ -266,9 +288,9 @@ class TestExpandFeatures:
 
     def test_binary_and_constant_columns_add_no_indicators(self):
         ds = self.make()
-        out = expand_features(ds, bins=4, include_pairs=False)
-        assert not any("flag::" in n for n in out.feature_names)
-        assert not any("const::" in n for n in out.feature_names)
+        out = expand_features(ds, bins=4)
+        assert not any(n.startswith("flag::") for n in out.feature_names)
+        assert not any("const" in n for n in out.feature_names[4:])
 
     def test_pair_cells_partition_rows(self):
         ds = self.make()
@@ -281,10 +303,47 @@ class TestExpandFeatures:
         assert len(block) == 9
         np.testing.assert_allclose(out.features[:, block].sum(axis=1), 1.0)
 
-    def test_column_cap_respected(self):
+    def test_binary_column_pairs_at_two_bins(self):
         ds = self.make()
-        out = expand_features(ds, bins=8, max_columns=30)
-        assert out.d <= 30
+        out = expand_features(ds, bins=2)
+        names = out.feature_names
+        assert [n for n in names if n.startswith("a::")] == ["a::bin0", "a::bin1"]
+        assert not any(n.startswith("flag::") for n in names)
+        block = [j for j, n in enumerate(names) if n.startswith("a*flag::")]
+        assert [names[j] for j in block] == [
+            "a*flag::cell0x0", "a*flag::cell0x1",
+            "a*flag::cell1x0", "a*flag::cell1x1",
+        ]
+        np.testing.assert_allclose(out.features[:, block].sum(axis=1), 1.0)
+        flag = ds.features[:, 2]
+        np.testing.assert_array_equal(
+            out.features[:, block][:, [1, 3]].sum(axis=1), flag
+        )
+
+    def test_default_cap_keeps_leading_pairs(self, caplog):
+        rng = np.random.default_rng(14)
+        n, d, bins = 200, 10, 16
+        features = rng.uniform(0, 1, (n, d))
+        treatment = rng.integers(0, 2, n)
+        treatment[0], treatment[1] = 0, 1
+        ds = Dataset(features, treatment)
+        with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
+            out = expand_features(ds, bins=bins)
+        assert "column cap 2048 reached" in caplog.text
+        mains = d + d * bins
+        kept = (MAX_DESIGN_COLUMNS - mains) // (bins * bins)
+        assert out.d == mains + kept * bins * bins <= MAX_DESIGN_COLUMNS
+        pairs = list(combinations(ds.feature_names, 2))[:kept]
+        for k, (a, b) in enumerate(pairs):
+            start = mains + k * bins * bins
+            block = slice(start, start + bins * bins)
+            assert all(
+                name.startswith(f"{a}*{b}::cell")
+                for name in out.feature_names[block]
+            )
+            np.testing.assert_array_equal(
+                out.features[:, block].sum(axis=1), 1.0
+            )
 
     def test_name_collision_rejected(self):
         rng = np.random.default_rng(13)
