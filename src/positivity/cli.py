@@ -80,6 +80,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     flag("--folds", "cross_fit_folds", int,
          "cross-fitting folds, 1 = in-sample")
     flag("--seed", "seed", int, "random seed")
+    flag("--propensity-bins", "propensity_bins", int,
+         "expansion bins per feature for the propensity fit, 0 = raw columns")
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
@@ -93,6 +95,7 @@ def _config_from_args(args: argparse.Namespace) -> Config:
         max_depth=args.max_depth,
         cross_fit_folds=args.folds,
         seed=args.seed,
+        propensity_bins=args.propensity_bins,
     )
 
 
@@ -124,6 +127,9 @@ def _analyze(args: argparse.Namespace):
         for line in exc.diagnostics:
             print(f"error: invalid data: {line}", file=sys.stderr)
         return None, EXIT_DATA
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
 
 
 def _write_outputs(result: AnalysisResult, out_dir: str) -> None:

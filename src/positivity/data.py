@@ -74,8 +74,8 @@ class Config:
             raise ValueError("max_depth must be >= 0")
         if self.cross_fit_folds < 1:
             raise ValueError("cross_fit_folds must be >= 1")
-        if self.propensity_bins < 0:
-            raise ValueError("propensity_bins must be >= 0")
+        if self.propensity_bins < 0 or self.propensity_bins == 1:
+            raise ValueError("propensity_bins must be 0 or >= 2")
 
 
 @dataclass(frozen=True)

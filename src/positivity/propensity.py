@@ -1,35 +1,42 @@
-"""Propensity estimation: L2 logistic regression on standardized features.
+"""Propensity estimation: L2 logistic regression on a standardized design.
 
-The model is fit by damped Newton iteration on the penalized mean
-negative log-likelihood
+The model minimizes the penalized mean negative log-likelihood
 
     J(w, b) = mean(log(1 + exp(z)) - t * z) + (lambda / 2) * ||w||^2,
     z = x_std @ w + b,
 
-with the intercept unpenalized. Each step is halved until the loss
-does not increase. Iteration stops when the gradient max-norm drops
-below a fixed 1e-8, after ``max_iter`` steps, or at the first step
-where no halving keeps the loss from rising; the model records whether
-it converged. Features are standardized per column; constant columns
-get standard deviation 1 and a weight of exactly 0.
+with the intercept unpenalized and every column standardized; constant
+columns get standard deviation 1 and a weight of exactly 0. The fit is
+truncated Newton-CG (Lin, Weng & Keerthi, "Trust region Newton method
+for large-scale logistic regression", JMLR 2008): each Newton step
+solves H s = g by conjugate gradients on Hessian-vector products, then
+is halved until the loss does not increase. Iteration stops when the
+gradient max-norm drops below a fixed 1e-8, after ``max_iter`` steps,
+or at the first step where no halving keeps the loss from rising; the
+model records whether it converged.
 
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
 
-:func:`expand_features` builds the binned feature map the analysis
-pipeline feeds into this model. A linear score is monotone along a
-single direction of feature space, so it cannot isolate an interior
+:func:`expand_features` builds the binned design the analysis pipeline
+feeds into this model. A linear score is monotone along a single
+direction of feature space, so it cannot isolate an interior
 rectangular region; indicator columns for per-feature equal-width bins
 plus pairwise bin-interaction cells make such regions separable while
 keeping the model logistic and convex. Pair blocks are added in feature
 order up to :data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap
-are dropped with a logged warning.
+are dropped with a logged warning. The design is never materialized:
+a :class:`Design` holds the raw columns plus one vector of integer
+level codes per indicator block, so its memory is O(n * blocks), and
+products with the standardized design are a gather (``X @ w``) or an
+``np.bincount`` (``X.T @ r``) per block.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -82,6 +89,47 @@ class PropensityResult:
         object.__setattr__(self, "scores", arr)
 
 
+@dataclass(frozen=True)
+class Design:
+    """Raw columns plus indicator blocks held as integer level codes.
+
+    Columns 0..d_raw-1 are the raw features. Each block ``(codes, k)``
+    then adds k indicator columns, of which row i sets column
+    ``codes[i]``. ``feature_names`` names all :attr:`d` columns.
+    """
+
+    raw: NDArray[np.float64]
+    treatment: NDArray[np.int64]
+    blocks: tuple[tuple[NDArray[np.int64], int], ...]
+    feature_names: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return self.raw.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.raw.shape[1] + sum(k for _, k in self.blocks)
+
+    def take(self, rows: NDArray[np.intp]) -> Design:
+        """The same design restricted to ``rows``."""
+        return Design(
+            self.raw[rows],
+            self.treatment[rows],
+            tuple((codes[rows], k) for codes, k in self.blocks),
+            self.feature_names,
+        )
+
+
+def _as_design(dataset: Dataset | Design) -> Design:
+    """A dataset is a design with no indicator blocks."""
+    if isinstance(dataset, Design):
+        return dataset
+    return Design(
+        dataset.features, dataset.treatment, (), dataset.feature_names
+    )
+
+
 def _sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
     out = np.empty_like(z)
     pos = z >= 0
@@ -100,8 +148,10 @@ def logistic_loss_grad(
     """Penalized mean negative log-likelihood and its gradient.
 
     ``params`` stacks the d weights followed by the intercept. The
-    gradient layout matches. Exposed separately so the analytic gradient
-    can be checked against finite differences.
+    gradient layout matches. ``features_std`` is a standardized n x d
+    array or anything offering the same ``@`` and ``.T @`` products,
+    such as the design operator :func:`fit` uses. Exposed separately so
+    the analytic gradient can be checked against finite differences.
     """
     w = params[:-1]
     b = params[-1]
@@ -118,55 +168,154 @@ def logistic_loss_grad(
     return loss, grad
 
 
-def _standardize(features: NDArray[np.float64]):
-    means = features.mean(axis=0)
-    stds = features.std(axis=0)
-    constant = stds == 0.0
-    stds = np.where(constant, 1.0, stds)
-    return (features - means) / stds, means, stds, constant
+def _column_moments(design: Design):
+    """Column means and standard deviations of the full design.
+
+    Raw columns use ``mean``/``std`` over rows. An indicator column with
+    level share p has mean p and standard deviation sqrt(p (1 - p)).
+    """
+    means = [design.raw.mean(axis=0)]
+    stds = [design.raw.std(axis=0)]
+    for codes, k in design.blocks:
+        share = np.bincount(codes, minlength=k) / design.n
+        means.append(share)
+        stds.append(np.sqrt(share * (1.0 - share)))
+    return np.concatenate(means), np.concatenate(stds)
+
+
+class _Standardized:
+    """The standardized design ``(X - means) / stds`` as a linear operator.
+
+    ``op @ w`` gathers and ``op.T @ r`` bincounts per block, from the raw
+    columns and the level codes, without forming X. A column whose std
+    is 0 reads as all zeros, as a constant column does after dense
+    standardization.
+    """
+
+    def __init__(self, design: Design, means, stds) -> None:
+        self.raw = design.raw
+        self.means = means
+        self.scale = np.divide(
+            1.0, stds, out=np.zeros_like(stds), where=stds != 0.0
+        )
+        # (level codes, first column, end column) per block
+        self.blocks = []
+        start = design.raw.shape[1]
+        for codes, k in design.blocks:
+            self.blocks.append((codes, start, start + k))
+            start += k
+
+    def __matmul__(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
+        v = w * self.scale
+        z = self.raw @ v[: self.raw.shape[1]]
+        for codes, start, stop in self.blocks:
+            z += v[start:stop][codes]
+        return z - self.means @ v
+
+    @property
+    def T(self) -> _Transposed:
+        return _Transposed(self)
+
+
+class _Transposed:
+    """``op.T``: ``op.T @ r`` is the transposed product of ``op``."""
+
+    def __init__(self, op: _Standardized) -> None:
+        self.op = op
+
+    def __matmul__(self, r: NDArray[np.float64]) -> NDArray[np.float64]:
+        op = self.op
+        out = np.empty_like(op.scale)
+        out[: op.raw.shape[1]] = op.raw.T @ r
+        for codes, start, stop in op.blocks:
+            out[start:stop] = np.bincount(codes, r, stop - start)
+        return (out - op.means * r.sum()) * op.scale
+
+
+def _hess_vec(
+    x_std: _Standardized,
+    curvature: NDArray[np.float64],
+    l2_lambda: float,
+    v: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Hessian of the loss times ``v`` (weights, then intercept).
+
+    ``curvature`` is the per-row weight p (1 - p) / n at the point
+    where the Hessian is taken.
+    """
+    u = curvature * (x_std @ v[:-1] + v[-1])
+    out = np.empty_like(v)
+    out[:-1] = x_std.T @ u + l2_lambda * v[:-1]
+    out[-1] = u.sum()
+    return out
+
+
+def _newton_step(hess_vec, grad: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Solve H s = grad by truncated conjugate gradients.
+
+    CG stops once the residual norm is at most min(0.5, sqrt(|g|)) |g|,
+    after len(grad) iterations, or on non-positive curvature (possible
+    only without the penalty); if that comes before any progress, the
+    gradient itself is the step.
+    """
+    step = np.zeros_like(grad)
+    resid = grad.copy()
+    direction = resid.copy()
+    rr = resid @ resid
+    gnorm = np.sqrt(rr)
+    tol = min(0.5, np.sqrt(gnorm)) * gnorm
+    for _ in range(grad.size):
+        if np.sqrt(rr) <= tol:
+            break
+        hd = hess_vec(direction)
+        dhd = direction @ hd
+        if dhd <= 0.0:
+            break
+        alpha = rr / dhd
+        step += alpha * direction
+        resid -= alpha * hd
+        rr, rr_old = resid @ resid, rr
+        direction = resid + (rr / rr_old) * direction
+    return step if step.any() else grad
 
 
 def fit(
-    dataset: Dataset,
+    dataset: Dataset | Design,
     l2_lambda: float = 1e-4,
     max_iter: int = 1000,
 ) -> PropensityModel:
-    """Fit the regularized logistic model to a dataset.
+    """Fit the regularized logistic model to a design or a dataset.
 
-    Stops when the gradient max-norm drops below 1e-8 (converged),
-    after ``max_iter`` Newton steps, or at the first step whose
-    halvings all leave the loss higher; the last two are reported on
-    the model and logged as a warning, not raised. A non-finite loss
+    A :class:`~positivity.data.Dataset` is fit as a design with no
+    indicator blocks. Each Newton step is a truncated conjugate-gradient
+    solve from Hessian-vector products on the level codes, so no n x D
+    matrix is formed. Stops when the gradient max-norm drops below 1e-8
+    (converged), after ``max_iter`` Newton steps, or at the first step
+    whose halvings all leave the loss higher; the last two are reported
+    on the model and logged as a warning, not raised. A non-finite loss
     at the start is an error.
     """
     if l2_lambda < 0.0:
         raise ValueError("l2_lambda must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    x_std, means, stds, constant = _standardize(dataset.features)
-    labels = dataset.treatment.astype(np.float64)
-    n, d = x_std.shape
-    params = np.zeros(d + 1, dtype=np.float64)
+    design = _as_design(dataset)
+    means, stds = _column_moments(design)
+    constant = stds == 0.0
+    x_std = _Standardized(design, means, stds)
+    labels = design.treatment.astype(np.float64)
+    n = design.n
+    params = np.zeros(design.d + 1, dtype=np.float64)
     loss, grad = logistic_loss_grad(params, x_std, labels, l2_lambda)
     if not np.isfinite(loss):
         raise RuntimeError("non-finite loss at initialization")
     it = 0
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
-        z = x_std @ params[:-1] + params[-1]
-        p = _sigmoid(z)
-        weight = p * (1.0 - p)
-        xw = x_std * weight[:, None]
-        hess = np.empty((d + 1, d + 1), dtype=np.float64)
-        hess[:d, :d] = x_std.T @ xw / n
-        hess[:d, :d][np.diag_indices(d)] += l2_lambda
-        hess[:d, d] = xw.sum(axis=0) / n
-        hess[d, :d] = hess[:d, d]
-        hess[d, d] = weight.mean()
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = grad
+        p = _sigmoid(x_std @ params[:-1] + params[-1])
+        step = _newton_step(
+            partial(_hess_vec, x_std, p * (1.0 - p) / n, l2_lambda), grad
+        )
         # halve the step until the loss stops increasing
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -196,26 +345,29 @@ def fit(
         weights=weights,
         intercept=float(params[-1]),
         feature_means=means,
-        feature_stds=stds,
-        feature_names=dataset.feature_names,
+        feature_stds=np.where(constant, 1.0, stds),
+        feature_names=design.feature_names,
         l2_lambda=l2_lambda,
         n_iter=it,
         converged=converged,
     )
 
 
-def predict(model: PropensityModel, dataset: Dataset) -> NDArray[np.float64]:
-    """Score a dataset with a fitted model.
+def predict(
+    model: PropensityModel, dataset: Dataset | Design
+) -> NDArray[np.float64]:
+    """Score a design or a dataset with a fitted model.
 
-    The dataset must carry the same feature names, in the same order,
-    as the training data. Scores are clamped to the open interval
-    (0, 1) so downstream log-losses stay finite.
+    It must carry the same feature names, in the same order, as the
+    training data. Scores are clamped to the open interval (0, 1) so
+    downstream log-losses stay finite.
     """
-    if dataset.feature_names != model.feature_names:
+    design = _as_design(dataset)
+    if design.feature_names != model.feature_names:
         raise ValueError(
             "dataset feature names do not match the model's training features"
         )
-    x_std = (dataset.features - model.feature_means) / model.feature_stds
+    x_std = _Standardized(design, model.feature_means, model.feature_stds)
     z = x_std @ model.weights + model.intercept
     return np.clip(_sigmoid(z), _SCORE_EPS, 1.0 - _SCORE_EPS)
 
@@ -260,43 +412,36 @@ def log_loss(scores, labels) -> float:
     return float(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).mean())
 
 
-def fit_predict(dataset: Dataset, config: Config) -> PropensityResult:
-    """Score every row of a dataset, in-sample or cross-fit.
+def fit_predict(
+    dataset: Dataset | Design, config: Config
+) -> PropensityResult:
+    """Score every row of a design or a dataset, in-sample or cross-fit.
 
     With ``config.cross_fit_folds`` = 1 (the default) one model is fit
     on all rows and scores them all. With k > 1, rows are shuffled by
     the config seed into k nearly equal folds and each fold is scored
     by a model fit on the other folds; every row is scored exactly once.
     """
+    design = _as_design(dataset)
     k = config.cross_fit_folds
-    n = dataset.n
+    n = design.n
     if k > n:
         raise ValueError(f"cross_fit_folds={k} exceeds the {n} samples")
     if k == 1:
-        model = fit(dataset)
-        scores = predict(model, dataset)
+        model = fit(design)
+        scores = predict(model, design)
     else:
         rng = np.random.default_rng(config.seed)
         folds = np.array_split(rng.permutation(n), k)
         scores = np.empty(n, dtype=np.float64)
         for fold in folds:
             train = np.setdiff1d(np.arange(n), fold)
-            sub = Dataset(
-                dataset.features[train],
-                dataset.treatment[train],
-                dataset.feature_names,
-            )
-            model = fit(sub)
-            held = Dataset(
-                dataset.features[fold],
-                dataset.treatment[fold],
-                dataset.feature_names,
-            )
-            scores[fold] = predict(model, held)
+            model = fit(design.take(train))
+            scores[fold] = predict(model, design.take(fold))
     return PropensityResult(
         scores=scores,
-        auc=auc(scores, dataset.treatment),
-        log_loss=log_loss(scores, dataset.treatment.astype(np.float64)),
+        auc=auc(scores, design.treatment),
+        log_loss=log_loss(scores, design.treatment.astype(np.float64)),
         folds=k,
     )
 
@@ -305,7 +450,7 @@ def _is_binary(column: NDArray[np.float64]) -> bool:
     return bool(np.isin(column, (0.0, 1.0)).all())
 
 
-def expand_features(dataset: Dataset, bins: int = 16) -> Dataset:
+def expand_features(dataset: Dataset, bins: int = 16) -> Design:
     """Augment features with bin indicators and pairwise interaction cells.
 
     Every non-constant feature gets a level code per row: binary
@@ -315,14 +460,15 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Dataset:
     numeric (non-binary) feature, then one cell block per feature pair
     in feature order, stopping at the first pair that would take the
     design past :data:`MAX_DESIGN_COLUMNS` (logged as a warning). The
-    output keeps the original columns first and scatters each block
-    into its indicator columns. Empty levels yield constant columns,
-    which the fit leaves at weight zero.
+    returned :class:`Design` keeps the original columns first and the
+    blocks as level codes; the n x D indicator matrix is never built.
+    Empty levels are constant columns, which the fit leaves at weight
+    zero.
     """
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     feats = dataset.features
-    n, d = feats.shape
+    d = feats.shape[1]
     raw_names = dataset.feature_names
     # per non-constant feature: (index, level codes, level count)
     coded: list[tuple[int, NDArray[np.int64], int]] = []
@@ -364,11 +510,9 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Dataset:
         raise ValueError(
             "expanded feature names collide with existing columns"
         )
-    design = np.zeros((n, n_cols), dtype=np.float64)
-    design[:, :d] = feats
-    rows = np.arange(n)
-    start = d
-    for codes, k, _ in blocks:
-        design[rows, start + codes] = 1.0
-        start += k
-    return Dataset(design, dataset.treatment, tuple(names))
+    return Design(
+        feats,
+        dataset.treatment,
+        tuple((codes, k) for codes, k, _ in blocks),
+        tuple(names),
+    )

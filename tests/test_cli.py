@@ -79,6 +79,31 @@ class TestUsageErrors:
         assert main(["analyze", carved_csv]) == 1
         capsys.readouterr()
 
+    def test_propensity_bins_one_exit_1(self, carved_csv, tmp_path, capsys):
+        code = main(
+            [
+                "analyze", carved_csv, "--treatment-col", "treatment",
+                "--propensity-bins", "1", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "propensity_bins must be 0 or >= 2" in capsys.readouterr().err
+
+    def test_more_folds_than_rows_exit_1(self, tmp_path, capsys):
+        small = tmp_path / "small.csv"
+        assert main(["synth", str(small), "--n", "300", "--seed", "2"]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "analyze", str(small), "--treatment-col", "treatment",
+                "--folds", "400", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: cross_fit_folds=400 exceeds the 300 samples\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestDataErrors:
     def test_non_binary_treatment_exit_2(self, tmp_path, capsys):
@@ -253,6 +278,14 @@ def test_flag_defaults_are_config_defaults():
         ["analyze", "x.csv", "--treatment-col", "t"]
     )
     assert _config_from_args(args) == Config()
+    assert args.propensity_bins == Config().propensity_bins
+
+
+def test_propensity_bins_flag_reaches_config():
+    args = build_parser().parse_args(
+        ["analyze", "x.csv", "--treatment-col", "t", "--propensity-bins", "0"]
+    )
+    assert _config_from_args(args) == Config(propensity_bins=0)
 
 
 class TestSvgRendering:

@@ -43,6 +43,8 @@ class TestConfig:
             {"max_depth": -1},
             {"cross_fit_folds": 0},
             {"propensity_bins": -1},
+            # one bin would otherwise fail late, inside expand_features
+            {"propensity_bins": 1},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

@@ -251,6 +251,37 @@ class TestAuc:
         assert base == pytest.approx(squashed, abs=1e-12)
 
 
+def dense(design):
+    """The n x D float matrix a design stands for: the reference."""
+    d_raw = design.raw.shape[1]
+    x = np.zeros((design.n, design.d))
+    x[:, :d_raw] = design.raw
+    rows = np.arange(design.n)
+    start = d_raw
+    for codes, k in design.blocks:
+        x[rows, start + codes] = 1.0
+        start += k
+    return x
+
+
+def block_named(design, prefix):
+    """(codes, k, names) of the block whose column names start with prefix."""
+    start = design.raw.shape[1]
+    for codes, k in design.blocks:
+        names = design.feature_names[start:start + k]
+        if names[0].startswith(prefix):
+            return codes, k, names
+        start += k
+    raise AssertionError(f"no block named {prefix!r}")
+
+
+def assert_partitions_rows(codes, k, n):
+    """Every row sits in exactly one of the block's k columns."""
+    assert codes.shape == (n,)
+    assert np.issubdtype(codes.dtype, np.integer)
+    assert 0 <= codes.min() and codes.max() < k
+
+
 class TestExpandFeatures:
     def make(self):
         rng = np.random.default_rng(12)
@@ -270,21 +301,19 @@ class TestExpandFeatures:
         ds = self.make()
         out = expand_features(ds, bins=4)
         assert out.feature_names[:4] == ds.feature_names
-        np.testing.assert_array_equal(out.features[:, :4], ds.features)
+        np.testing.assert_array_equal(out.raw, ds.features)
+        np.testing.assert_array_equal(out.treatment, ds.treatment)
+        assert out.n == ds.n
+        assert out.d == len(out.feature_names)
 
     def test_indicator_blocks_partition_rows(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
         for base in ("a", "b"):
-            block = [
-                j
-                for j, name in enumerate(out.feature_names)
-                if name.startswith(f"{base}::bin")
-            ]
-            assert len(block) == 4
-            np.testing.assert_allclose(
-                out.features[:, block].sum(axis=1), 1.0
-            )
+            codes, k, names = block_named(out, f"{base}::bin")
+            assert k == 4
+            assert names == tuple(f"{base}::bin{b}" for b in range(4))
+            assert_partitions_rows(codes, k, ds.n)
 
     def test_binary_and_constant_columns_add_no_indicators(self):
         ds = self.make()
@@ -295,13 +324,10 @@ class TestExpandFeatures:
     def test_pair_cells_partition_rows(self):
         ds = self.make()
         out = expand_features(ds, bins=3)
-        block = [
-            j
-            for j, name in enumerate(out.feature_names)
-            if name.startswith("a*b::cell")
-        ]
-        assert len(block) == 9
-        np.testing.assert_allclose(out.features[:, block].sum(axis=1), 1.0)
+        codes, k, names = block_named(out, "a*b::cell")
+        assert k == 9
+        assert all(n.startswith("a*b::cell") for n in names)
+        assert_partitions_rows(codes, k, ds.n)
 
     def test_binary_column_pairs_at_two_bins(self):
         ds = self.make()
@@ -309,16 +335,14 @@ class TestExpandFeatures:
         names = out.feature_names
         assert [n for n in names if n.startswith("a::")] == ["a::bin0", "a::bin1"]
         assert not any(n.startswith("flag::") for n in names)
-        block = [j for j, n in enumerate(names) if n.startswith("a*flag::")]
-        assert [names[j] for j in block] == [
+        codes, k, block = block_named(out, "a*flag::")
+        assert list(block) == [
             "a*flag::cell0x0", "a*flag::cell0x1",
             "a*flag::cell1x0", "a*flag::cell1x1",
         ]
-        np.testing.assert_allclose(out.features[:, block].sum(axis=1), 1.0)
+        assert_partitions_rows(codes, k, ds.n)
         flag = ds.features[:, 2]
-        np.testing.assert_array_equal(
-            out.features[:, block][:, [1, 3]].sum(axis=1), flag
-        )
+        np.testing.assert_array_equal(np.isin(codes, (1, 3)), flag == 1.0)
 
     def test_default_cap_keeps_leading_pairs(self, caplog):
         rng = np.random.default_rng(14)
@@ -333,6 +357,8 @@ class TestExpandFeatures:
         mains = d + d * bins
         kept = (MAX_DESIGN_COLUMNS - mains) // (bins * bins)
         assert out.d == mains + kept * bins * bins <= MAX_DESIGN_COLUMNS
+        assert len(out.feature_names) == out.d
+        assert len(out.blocks) == d + kept
         pairs = list(combinations(ds.feature_names, 2))[:kept]
         for k, (a, b) in enumerate(pairs):
             start = mains + k * bins * bins
@@ -341,9 +367,9 @@ class TestExpandFeatures:
                 name.startswith(f"{a}*{b}::cell")
                 for name in out.feature_names[block]
             )
-            np.testing.assert_array_equal(
-                out.features[:, block].sum(axis=1), 1.0
-            )
+            codes, levels = out.blocks[d + k]
+            assert levels == bins * bins
+            assert_partitions_rows(codes, levels, n)
 
     def test_name_collision_rejected(self):
         rng = np.random.default_rng(13)
@@ -355,3 +381,104 @@ class TestExpandFeatures:
         ds = Dataset(features, treatment, ("q", "q::bin0"))
         with pytest.raises(ValueError, match="collide"):
             expand_features(ds, bins=2)
+
+    def test_take_subsets_rows(self):
+        out = expand_features(self.make(), bins=3)
+        rows = np.array([5, 0, 17, 42])
+        sub = out.take(rows)
+        assert sub.feature_names == out.feature_names
+        assert sub.n == 4 and sub.d == out.d
+        np.testing.assert_array_equal(dense(sub), dense(out)[rows])
+        np.testing.assert_array_equal(sub.treatment, out.treatment[rows])
+
+
+class TestDesignParity:
+    """The level-code operator against the materialized dense design."""
+
+    def make(self, n=300, seed=21):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0, 10, n)
+        # bins=4 over [0, 4] puts every row in level 0 or 3
+        gapped = rng.choice([0.0, 0.5, 3.5, 4.0], n)
+        flag = rng.integers(0, 2, n).astype(float)
+        features = np.column_stack([a, gapped, flag, np.full(n, 3.0)])
+        z = 0.3 * (a - 5.0) - 0.8 * flag + ((a > 6) & (gapped > 2))
+        treatment = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+        ds = Dataset(features, treatment, ("a", "gapped", "flag", "const"))
+        return expand_features(ds, bins=4)
+
+    def dense_standardized(self, design):
+        x = dense(design)
+        means = x.mean(axis=0)
+        stds = x.std(axis=0)
+        return (x - means) / np.where(stds == 0.0, 1.0, stds), stds == 0.0
+
+    def test_loss_grad_match_dense(self):
+        design = self.make()
+        x_std, constant = self.dense_standardized(design)
+        names = np.array(design.feature_names)
+        assert "const" in names[constant]
+        assert {"gapped::bin1", "gapped::bin2"} <= set(names[constant])
+        assert "flag" not in names[constant]
+        op = propensity._Standardized(
+            design, *propensity._column_moments(design)
+        )
+        labels = design.treatment.astype(np.float64)
+        rng = np.random.default_rng(22)
+        for lam in (0.0, 1e-4, 0.5):
+            params = rng.standard_normal(design.d + 1)
+            loss_op, grad_op = logistic_loss_grad(params, op, labels, lam)
+            loss_x, grad_x = logistic_loss_grad(params, x_std, labels, lam)
+            assert abs(loss_op - loss_x) <= 1e-12
+            np.testing.assert_allclose(grad_op, grad_x, rtol=0, atol=1e-12)
+
+    def test_moments_match_dense(self):
+        design = self.make()
+        x = dense(design)
+        means, stds = propensity._column_moments(design)
+        # n rounding errors of one ulp each at most
+        tol = design.n * np.finfo(np.float64).eps
+        np.testing.assert_allclose(means, x.mean(axis=0), rtol=0, atol=tol)
+        np.testing.assert_allclose(stds, x.std(axis=0), rtol=0, atol=tol)
+        np.testing.assert_array_equal(stds == 0.0, x.std(axis=0) == 0.0)
+
+    def test_hessian_vector_matches_central_differences(self):
+        design = self.make()
+        op = propensity._Standardized(
+            design, *propensity._column_moments(design)
+        )
+        labels = design.treatment.astype(np.float64)
+        lam = 1e-3
+        rng = np.random.default_rng(23)
+        params = 0.3 * rng.standard_normal(design.d + 1)
+        p = propensity._sigmoid(op @ params[:-1] + params[-1])
+        curvature = p * (1.0 - p) / design.n
+        eps = 1e-5
+        for _ in range(5):
+            v = rng.standard_normal(design.d + 1)
+            hv = propensity._hess_vec(op, curvature, lam, v)
+            _, g_hi = logistic_loss_grad(params + eps * v, op, labels, lam)
+            _, g_lo = logistic_loss_grad(params - eps * v, op, labels, lam)
+            numeric = (g_hi - g_lo) / (2 * eps)
+            np.testing.assert_allclose(hv, numeric, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_fit_predict_matches_dense_dataset(self, folds):
+        design = self.make()
+        reference = Dataset(dense(design), design.treatment, design.feature_names)
+        config = Config(cross_fit_folds=folds, seed=5)
+        got = fit_predict(design, config)
+        want = fit_predict(reference, config)
+        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-6)
+        assert got.folds == want.folds == folds
+
+    def test_model_spans_every_design_column(self):
+        design = self.make()
+        model = fit(design)
+        assert model.converged
+        assert model.feature_names == design.feature_names
+        for arr in (model.weights, model.feature_means, model.feature_stds):
+            assert arr.shape == (design.d,)
+        _, constant = self.dense_standardized(design)
+        assert (model.weights[constant] == 0.0).all()
+        assert (model.feature_stds[constant] == 1.0).all()
