@@ -459,9 +459,11 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
     The design lists blocks of level codes: one indicator block per
     numeric (non-binary) feature, then one cell block per feature pair
     in feature order, stopping at the first pair that would take the
-    design past :data:`MAX_DESIGN_COLUMNS` (logged as a warning). The
-    returned :class:`Design` keeps the original columns first and the
-    blocks as level codes; the n x D indicator matrix is never built.
+    design past :data:`MAX_DESIGN_COLUMNS` (logged as a warning); it
+    raises ``ValueError`` when the raw columns and bin blocks alone pass
+    the cap. The returned :class:`Design` keeps the original columns
+    first and the blocks as level codes; the n x D indicator matrix is
+    never built.
     Empty levels are constant columns, which the fit leaves at weight
     zero.
     """
@@ -489,6 +491,11 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
             (idx, bins, [f"{raw_names[j]}::bin{b}" for b in range(bins)])
         )
     n_cols = d + sum(k for _, k, _ in blocks)
+    if n_cols > MAX_DESIGN_COLUMNS:
+        raise ValueError(
+            f"expand_features: {n_cols} columns before any feature pair "
+            f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
+        )
     for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
         if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
             logger.warning(

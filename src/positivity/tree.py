@@ -12,6 +12,14 @@ its violation purity exceeds ``beta`` (pure enough to state as a rule)
 or when it holds fewer than ``gamma`` times the group's total violating
 samples (too small to matter). Pruning only truncates structure; no
 node's counts change.
+
+Growth sorts each feature once per tree (SLIQ; Mehta, Agrawal &
+Rissanen, EDBT 1996). Row j of a node's d x m array lists its rows
+sorted by feature j; one shared mask splits every row and keeps each
+sorted. The label count left of a cut does not depend on the order
+within a run of equal values, so scores equal a per-node sort's. Counts
+stay exact integers, and ``1 - (p*p + q*q)`` is symmetric under class
+swap, which keeps tie-breaking deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
 from .data import Config
 
 
@@ -77,6 +84,55 @@ def gini(n_pos: int, n_neg: int) -> float:
     return 1.0 - (p * p + q * q)
 
 
+def _search(
+    columns: NDArray[np.float64], labels: NDArray[np.int64],
+    order: NDArray[np.intp], n_pos: int,
+) -> tuple[int, float, float] | None:
+    """Best split of a node; ``order[j]`` lists its rows by feature j.
+
+    ``columns`` is the d x n feature matrix; ``n_pos`` counts the node's
+    positive labels.
+    """
+    nf = float(order.shape[1])
+    bound = gini(n_pos, order.shape[1] - n_pos)
+    best = None
+    for j, rows in enumerate(order):
+        values = columns[j, rows]
+        cut = np.nonzero(values[:-1] != values[1:])[0]
+        if cut.size == 0:
+            continue
+        cpos = np.cumsum(labels[rows])
+        nl = (cut + 1).astype(np.float64)
+        nr = nf - nl
+        lp = cpos[cut].astype(np.float64)
+        rp = float(n_pos) - lp
+        pl = lp / nl
+        ql = (nl - lp) / nl
+        gl = 1.0 - (pl * pl + ql * ql)
+        pr = rp / nr
+        qr = (nr - rp) / nr
+        gr = 1.0 - (pr * pr + qr * qr)
+        score = (nl * gl + nr * gr) / nf
+        k = int(np.argmin(score))
+        if score[k] < bound:
+            i = int(cut[k])
+            bound = float(score[k])
+            best = (j, float(0.5 * (values[i] + values[i + 1])), bound)
+    return best
+
+
+def _columns_and_labels(
+    features: NDArray[np.float64], labels: NDArray[np.int64]
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError("features must be a 2-d array")
+    labels = np.asarray(labels).astype(np.int64)
+    if labels.shape != (features.shape[0],):
+        raise ValueError("labels must align with feature rows")
+    return np.ascontiguousarray(features.T), labels
+
+
 def best_split(
     features: NDArray[np.float64], labels: NDArray[np.int64]
 ) -> tuple[int, float, float] | None:
@@ -84,29 +140,12 @@ def best_split(
 
     Returns ``(feature_index, threshold, weighted_impurity)`` for the
     candidate minimizing child-size-weighted Gini, or None when no
-    candidate strictly improves on the unsplit node.
+    candidate strictly improves on the unsplit node. Runs the same
+    search :func:`build_tree` runs at every node.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-d array")
-    labels = np.asarray(labels, dtype=np.int64)
-    n, d = features.shape
-    if labels.shape != (n,):
-        raise ValueError("labels must align with feature rows")
-    n_pos = int(labels.sum())
-    parent = gini(n_pos, n - n_pos)
-    best: tuple[int, float, float] | None = None
-    for j in range(d):
-        col = features[:, j]
-        order = np.argsort(col)
-        score, thr, found = _kernels.scan_sorted_feature(
-            col[order], labels[order]
-        )
-        if not found or not score < parent:
-            continue
-        if best is None or score < best[2]:
-            best = (j, float(thr), float(score))
-    return best
+    columns, labels = _columns_and_labels(features, labels)
+    order = np.argsort(columns, axis=1)
+    return _search(columns, labels, order, int(labels.sum()))
 
 
 def build_tree(
@@ -122,13 +161,8 @@ def build_tree(
     smaller than two samples, and when no split strictly reduces
     impurity. Both label values must be present at the root.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-d array")
-    labels = np.asarray(labels).astype(np.int64)
-    n, d = features.shape
-    if labels.shape != (n,):
-        raise ValueError("labels must align with feature rows")
+    columns, labels = _columns_and_labels(features, labels)
+    d, n = columns.shape
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     total_pos = int(labels.sum())
@@ -140,34 +174,34 @@ def build_tree(
         names = tuple(feature_names)
         if len(names) != d:
             raise ValueError(f"{len(names)} feature names for {d} columns")
+    # side of the current split per row; a node reads only its own rows
+    go_left = np.zeros(n, dtype=bool)
 
-    def grow(idx: NDArray[np.int64], depth: int) -> TreeNode:
-        sub_labels = labels[idx]
-        n_pos = int(sub_labels.sum())
-        n_neg = idx.shape[0] - n_pos
-        if (
-            depth >= config.max_depth
-            or n_pos == 0
-            or n_neg == 0
-            or idx.shape[0] < 2
-        ):
-            return TreeNode(n_pos=n_pos, n_neg=n_neg, depth=depth)
-        split = best_split(features[idx], sub_labels)
+    def grow(order: NDArray[np.intp], n_pos: int, depth: int) -> TreeNode:
+        m = order.shape[1]
+        leaf = TreeNode(n_pos=n_pos, n_neg=m - n_pos, depth=depth)
+        if depth >= config.max_depth or n_pos == 0 or n_pos == m:
+            return leaf
+        split = _search(columns, labels, order, n_pos)
         if split is None:
-            return TreeNode(n_pos=n_pos, n_neg=n_neg, depth=depth)
+            return leaf
         j, thr, _ = split
-        go_left = features[idx, j] <= thr
-        return TreeNode(
-            n_pos=n_pos,
-            n_neg=n_neg,
-            depth=depth,
+        rows = order[j]
+        go_left[rows] = columns[j, rows] <= thr
+        left = go_left[order]
+        left_order = order[left].reshape(d, -1)
+        left_pos = int(labels[left_order[0]].sum())
+        return replace(
+            leaf,
             feature_index=j,
             threshold=thr,
-            left=grow(idx[go_left], depth + 1),
-            right=grow(idx[~go_left], depth + 1),
+            left=grow(left_order, left_pos, depth + 1),
+            right=grow(
+                order[~left].reshape(d, -1), n_pos - left_pos, depth + 1
+            ),
         )
 
-    root = grow(np.arange(n, dtype=np.int64), 0)
+    root = grow(np.argsort(columns, axis=1), total_pos, 0)
     return ExplanationTree(
         root=root,
         group=group,

@@ -34,19 +34,18 @@ from .density import GroupHistograms, bin_indices
 _SQRT2 = math.sqrt(2.0)
 _LOG_TIE_SLACK = 1e-7
 
-# log k! for k in [0, len); grown on demand, append-only so earlier
-# entries never change. Supports n up to ~1e7 (about 80 MB at the max).
+# log k! for k in [0, len); rebuilt whole when it grows. A sequential
+# cumsum's prefix does not depend on its length, so no entry depends on
+# the sizes asked for before. Supports n up to ~1e7 (about 80 MB).
 _LOG_FACT = np.zeros(1, dtype=np.float64)
 
 
 def _log_factorials(n: int) -> NDArray[np.float64]:
     global _LOG_FACT
     if n >= _LOG_FACT.shape[0]:
-        size = _LOG_FACT.shape[0]
-        grown = np.empty(n + 1, dtype=np.float64)
-        grown[:size] = _LOG_FACT
-        ext = np.log(np.arange(size, n + 1, dtype=np.float64))
-        grown[size:] = grown[size - 1] + np.cumsum(ext)
+        grown = np.zeros(n + 1, dtype=np.float64)
+        logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+        np.cumsum(logs, out=grown[1:])
         _LOG_FACT = grown
     return _LOG_FACT
 

@@ -89,6 +89,19 @@ class TestUsageErrors:
         assert code == 1
         assert "propensity_bins must be 0 or >= 2" in capsys.readouterr().err
 
+    def test_bins_past_column_cap_exit_1(self, carved_csv, tmp_path, capsys):
+        code = main(
+            [
+                "analyze", carved_csv, "--treatment-col", "treatment",
+                "--propensity-bins", "3000", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "column cap 2048" in err
+        assert not (tmp_path / "o").exists()
+
     def test_more_folds_than_rows_exit_1(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert main(["synth", str(small), "--n", "300", "--seed", "2"]) == 0

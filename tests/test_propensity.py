@@ -382,6 +382,18 @@ class TestExpandFeatures:
         with pytest.raises(ValueError, match="collide"):
             expand_features(ds, bins=2)
 
+    def test_bin_blocks_past_cap_rejected(self):
+        rng = np.random.default_rng(15)
+        treatment = rng.integers(0, 2, 50)
+        treatment[0], treatment[1] = 0, 1
+        ds = Dataset(rng.uniform(0, 1, (50, 3)), treatment)
+        with pytest.raises(ValueError, match="9003 columns .* cap 2048"):
+            expand_features(ds, bins=3000)
+        # just under the cap the bin blocks are kept and no pair fits
+        out = expand_features(ds, bins=(MAX_DESIGN_COLUMNS - 3) // 3)
+        assert out.d == 3 + 3 * 681 <= MAX_DESIGN_COLUMNS
+        assert len(out.blocks) == 3
+
     def test_take_subsets_rows(self):
         out = expand_features(self.make(), bins=3)
         rows = np.array([5, 0, 17, 42])

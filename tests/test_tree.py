@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positivity import (
     Config,
@@ -13,6 +15,7 @@ from positivity import (
     build_tree,
     gini,
     prune,
+    render_tree_text,
 )
 
 
@@ -48,6 +51,41 @@ def brute_force_best(features, labels):
     if best is None or best[0] >= parent - 1e-12:
         return None
     return best
+
+
+def reference_tree(features, labels, config):
+    """Grow by calling best_split on each node's own rows."""
+
+    def grow(idx, depth):
+        n_pos = int(labels[idx].sum())
+        node = TreeNode(n_pos=n_pos, n_neg=idx.size - n_pos, depth=depth)
+        if (
+            depth >= config.max_depth
+            or n_pos in (0, idx.size)
+            or idx.size < 2
+        ):
+            return node
+        split = best_split(features[idx], labels[idx])
+        if split is None:
+            return node
+        j, thr, _ = split
+        go_left = features[idx, j] <= thr
+        return TreeNode(
+            n_pos=n_pos,
+            n_neg=idx.size - n_pos,
+            depth=depth,
+            feature_index=j,
+            threshold=thr,
+            left=grow(idx[go_left], depth + 1),
+            right=grow(idx[~go_left], depth + 1),
+        )
+
+    return ExplanationTree(
+        root=grow(np.arange(labels.size), 0),
+        group=0,
+        feature_names=tuple(f"x{j}" for j in range(features.shape[1])),
+        total_violations=int(labels.sum()),
+    )
 
 
 class TestGini:
@@ -110,6 +148,17 @@ class TestBestSplit:
         features = np.array([[3.0], [3.0], [3.0]])
         labels = np.array([0, 1, 0])
         assert best_split(features, labels) is None
+
+    def test_tie_keeps_lowest_threshold(self):
+        # labels symmetric around the middle: cuts at 1.5 and 2.5 tie.
+        features = np.array([[1.0], [2.0], [3.0]])
+        labels = np.array([1, 0, 1])
+        result = best_split(features, labels)
+        assert result is not None
+        assert result[:2] == (0, 1.5)
+
+    def test_zero_columns_none(self):
+        assert best_split(np.empty((4, 0)), np.array([0, 1, 0, 1])) is None
 
 
 class TestBuildTree:
@@ -178,6 +227,48 @@ class TestBuildTree:
             else:
                 assert got is not None
                 assert got[2] == pytest.approx(want[0], abs=1e-9)
+
+
+    def test_tie_heavy_trees_match_per_node_search(self):
+        # Integer columns and a 0/1 column put long runs of equal values
+        # in every sorted list, where a split's partition must keep the
+        # lists sorted for the scores to match a per-node sort.
+        rng = np.random.default_rng(4)
+        for trial in range(120):
+            n = int(rng.integers(2, 90))
+            features = np.column_stack([
+                rng.integers(0, 4, n),
+                rng.integers(0, 2, n),
+                rng.integers(-2, 3, n),
+            ]).astype(float)
+            labels = rng.integers(0, 2, n)
+            labels[trial % n] = 1
+            labels[(trial + 1) % n] = 0
+            config = Config(max_depth=int(rng.integers(1, 11)))
+            got = build_tree(features, labels, config)
+            want = reference_tree(features, labels, config)
+            assert got.root == want.root
+            assert render_tree_text(got) == render_tree_text(want)
+
+    def test_one_sort_per_tree(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((300, 3))
+        labels = (features[:, 0] * features[:, 1] > 0).astype(np.int64)
+        tree = build_tree(features, labels, Config(max_depth=6))
+        assert len(collect_nodes(tree.root)) > 3
+        assert len(calls) == 1
+
+    def test_zero_columns_single_leaf(self):
+        tree = build_tree(np.empty((3, 0)), np.array([1, 0, 1]), Config())
+        assert tree.root == leaf(2, 1)
 
 
 class TestPrune:
@@ -317,3 +408,25 @@ def test_exhaustive_tiny_instances_match_brute_force():
             else:
                 assert got is not None
                 assert got[2] == pytest.approx(want[0], abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        # Multiples of 1/8 keep midpoints exactly representable, so the
+        # comparison-based oracle splits exactly where the scan does.
+        st.tuples(st.integers(-800, 800), st.booleans()),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_best_split_matches_direct_enumeration(data):
+    features = np.array([[v * 0.125] for v, _ in data])
+    labels = np.array([int(b) for _, b in data], dtype=np.int64)
+    want = brute_force_best(features, labels)
+    got = best_split(features, labels)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[2] == pytest.approx(want[0], abs=1e-9)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bh_rejections_oracle
+from positivity import violation
 from positivity import (
     Config,
     GroupHistograms,
@@ -127,6 +128,19 @@ class TestFisherExact:
     def test_large_counts_finite(self):
         p = fisher_exact_test(0, 100000, 500, 100000)
         assert 0.0 <= p < 1e-100
+
+    def test_p_value_independent_of_earlier_calls(self, monkeypatch):
+        # The log-factorial table is shared across calls; growing it in
+        # steps must leave every entry as a single build would.
+        table = (3, 24000, 0, 26000)
+        monkeypatch.setattr(violation, "_LOG_FACT", np.zeros(1))
+        fresh = fisher_exact_test(*table)
+        single = violation._LOG_FACT.copy()
+        monkeypatch.setattr(violation, "_LOG_FACT", np.zeros(1))
+        for total in (60, 1000, 7777, 20000):
+            fisher_exact_test(1, total // 2, 2, total - total // 2)
+        assert fisher_exact_test(*table).hex() == fresh.hex()
+        np.testing.assert_array_equal(violation._LOG_FACT, single)
 
 
 @settings(max_examples=150, deadline=None)
