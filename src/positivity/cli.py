@@ -7,7 +7,12 @@ prints the pruned per-group trees and extracted rules to stdout.
 
 Exit codes: 0 clean, 3 violation detected, 1 usage or file problem,
 2 invalid data. The split keeps the scientific verdict distinguishable
-from plumbing failures in shell pipelines.
+from plumbing failures in shell pipelines. Commands return the verdict
+code and raise on failure; :func:`main` alone maps failures to codes.
+A :class:`DataError`, a CSV that ``load_csv`` rejects included, exits 2
+with one ``error: invalid data:`` line per diagnostic; any other
+``OSError`` or ``ValueError`` (unreadable or unwritable file,
+out-of-range option, analysis limit) exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from .data import _TEST_KINDS, Config, load_csv, write_csv
 from .explain import NO_VIOLATION_TEXT, render_report, render_text
@@ -65,7 +71,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
     def flag(name, field, kind, text, **extra):
         parser.add_argument(
-            name, type=kind, default=getattr(defaults, field),
+            name, type=kind, dest=field, default=getattr(defaults, field),
             help=f"{text} (default %(default)s)", **extra,
         )
 
@@ -78,58 +84,24 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     flag("--test", "test_kind", str, "per-bin test", choices=_TEST_KINDS)
     flag("--max-depth", "max_depth", int, "tree depth limit")
     flag("--folds", "cross_fit_folds", int,
-         "cross-fitting folds, 1 = in-sample")
+         "cross-fitting folds, 1 = in-sample", metavar="FOLDS")
     flag("--seed", "seed", int, "random seed")
     flag("--propensity-bins", "propensity_bins", int,
          "expansion bins per feature for the propensity fit, 0 = raw columns")
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    return Config(
-        bins=args.bins,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        noise_threshold=args.noise_threshold,
-        test_kind=args.test,
-        max_depth=args.max_depth,
-        cross_fit_folds=args.folds,
-        seed=args.seed,
-        propensity_bins=args.propensity_bins,
-    )
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
 
-def _load(args: argparse.Namespace):
-    """Load the input CSV, returning (dataset, exit_code)."""
+def _analyze(args: argparse.Namespace) -> AnalysisResult:
+    """Validate the config, then load the CSV and run the analysis."""
+    config = _config_from_args(args)
     try:
-        return load_csv(args.input, args.treatment_col), None
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
+        dataset = load_csv(args.input, args.treatment_col)
     except ValueError as exc:
-        print(f"error: invalid data: {exc}", file=sys.stderr)
-        return None, EXIT_DATA
-
-
-def _analyze(args: argparse.Namespace):
-    """Shared loading + analysis, returning (result, exit_code)."""
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    dataset, code = _load(args)
-    if dataset is None:
-        return None, code
-    try:
-        return analyze_dataset(dataset, config), None
-    except DataError as exc:
-        for line in exc.diagnostics:
-            print(f"error: invalid data: {line}", file=sys.stderr)
-        return None, EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise DataError([str(exc)]) from exc
+    return analyze_dataset(dataset, config)
 
 
 def _write_outputs(result: AnalysisResult, out_dir: str) -> None:
@@ -162,14 +134,8 @@ def _write_outputs(result: AnalysisResult, out_dir: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    result, code = _analyze(args)
-    if result is None:
-        return code
-    try:
-        _write_outputs(result, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = _analyze(args)
+    _write_outputs(result, args.out)
     if result.violation_detected:
         print(f"Positivity violation detected. Reports in {args.out}")
         return EXIT_VIOLATION
@@ -178,9 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_explain_tree(args: argparse.Namespace) -> int:
-    result, code = _analyze(args)
-    if result is None:
-        return code
+    result = _analyze(args)
     if not result.violation_detected:
         print(NO_VIOLATION_TEXT)
         return EXIT_CLEAN
@@ -197,23 +161,15 @@ def cmd_explain_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        spec = SynthSpec(
-            n=args.n,
-            seed=args.seed,
-            noise_covariates=args.noise_covariates,
-            carve=() if args.no_carve else DEFAULT_CARVE,
-            carve_mode=args.carve_mode,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = SynthSpec(
+        n=args.n,
+        seed=args.seed,
+        noise_covariates=args.noise_covariates,
+        carve=() if args.no_carve else DEFAULT_CARVE,
+        carve_mode=args.carve_mode,
+    )
     dataset = generate(spec)
-    try:
-        write_csv(dataset, args.output, args.treatment_col)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    write_csv(dataset, args.output, args.treatment_col)
     print(
         f"wrote {dataset.n} rows x {dataset.d} features to {args.output}"
     )
@@ -281,7 +237,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DataError as exc:
+        for line in exc.diagnostics:
+            print(f"error: invalid data: {line}", file=sys.stderr)
+        return EXIT_DATA
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -171,7 +171,7 @@ def validate(dataset: Dataset) -> list[str]:
     return diags
 
 
-def _parse_treatment(cell: str, row: int, column: str) -> int:
+def _parse_treatment(cell: str, row: int, column: str, path: str) -> int:
     word = cell.strip().lower()
     if word in _TRUE_WORDS:
         return 1
@@ -186,8 +186,8 @@ def _parse_treatment(cell: str, row: int, column: str) -> int:
     if value == 1.0:
         return 1
     raise ValueError(
-        f"treatment value {cell!r} at row {row} in column {column!r} "
-        "is not one of 0/1/true/false"
+        f"{path}: treatment value {cell!r} at row {row} in column "
+        f"{column!r} is not one of 0/1/true/false"
     )
 
 
@@ -237,7 +237,7 @@ def load_csv(path: str, treatment_column: str) -> Dataset:
 
     t_idx = header.index(treatment_column)
     treatment = np.array(
-        [_parse_treatment(row[t_idx], i, treatment_column)
+        [_parse_treatment(row[t_idx], i, treatment_column, path)
          for i, row in enumerate(body, start=1)],
         dtype=np.int64,
     )
@@ -293,7 +293,8 @@ def write_csv(
 ) -> None:
     """Write a Dataset as a CSV file that :func:`load_csv` accepts.
 
-    Floats are written with ``repr`` so the round trip is lossless.
+    The csv module writes floats with ``repr``, so the round trip is
+    lossless.
     """
     if treatment_column in dataset.feature_names:
         raise ValueError(
@@ -302,8 +303,7 @@ def write_csv(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + [treatment_column])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.features[i]]
-                + [int(dataset.treatment[i])]
-            )
+        writer.writerows(
+            row.tolist() + [t]
+            for row, t in zip(dataset.features, dataset.treatment.tolist())
+        )

@@ -435,7 +435,7 @@ def fit_predict(
         folds = np.array_split(rng.permutation(n), k)
         scores = np.empty(n, dtype=np.float64)
         for fold in folds:
-            train = np.setdiff1d(np.arange(n), fold)
+            train = np.delete(np.arange(n), fold)
             model = fit(design.take(train))
             scores[fold] = predict(model, design.take(fold))
     return PropensityResult(

@@ -117,6 +117,21 @@ class TestUsageErrors:
         assert err == "error: cross_fit_folds=400 exceeds the 300 samples\n"
         assert not (tmp_path / "o").exists()
 
+    def test_unwritable_output_exit_1(self, carved_csv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        code = main(
+            [
+                "analyze", carved_csv, "--treatment-col", "treatment",
+                "--out", str(blocker),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestDataErrors:
     def test_non_binary_treatment_exit_2(self, tmp_path, capsys):
@@ -256,6 +271,21 @@ class TestSynthCommand:
     def test_bad_n_exit_1(self, tmp_path, capsys):
         assert main(["synth", str(tmp_path / "x.csv"), "--n", "0"]) == 1
         capsys.readouterr()
+
+    def test_treatment_column_collision_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        code = main(
+            [
+                "synth", str(path), "--n", "10",
+                "--treatment-col", "profile_age",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: treatment column name 'profile_age' collides with "
+            "a feature\n"
+        )
+        assert not path.exists()
 
     def test_console_script_runs(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -103,6 +103,51 @@ class TestValidate:
         assert any("treatment" in d for d in validate(ds))
 
 
+_CARD = MAX_CATEGORICAL_CARDINALITY + 1
+
+# (case id, CSV text, full message with {path} standing for the file path)
+LOAD_CSV_ERRORS = [
+    ("empty_file", "", "{path}: file is empty, header row required"),
+    ("no_rows", "a,t\n", "{path}: no data rows"),
+    ("duplicate_header", "a,a,t\n1,2,0\n",
+     "{path}: duplicate column names in header"),
+    ("missing_treatment_column", "a,b\n1,2\n",
+     "{path}: treatment column 't' not found (columns: a, b)"),
+    ("ragged_row", "a,b,t\n1,2,0\n3,1\n",
+     "{path}: row 2 has 2 cells, expected 3"),
+    ("missing_cell", "a,b,t\n1,,0\n2,3,1\n",
+     "{path}: missing value at row 1, column 'b'"),
+    ("bad_treatment_value", "a,t\n1,0\n2,yes\n",
+     "{path}: treatment value 'yes' at row 2 in column 't' is not one of "
+     "0/1/true/false"),
+    ("empty_control_group", "a,t\n1,1\n2,true\n",
+     "{path}: control group (treatment == 0) is empty"),
+    ("empty_treated_group", "a,t\n1,0\n2,0.0\n",
+     "{path}: treated group (treatment == 1) is empty"),
+    ("cardinality",
+     "c,t\n" + "".join(f"v{i},{i % 2}\n" for i in range(_CARD)),
+     f"{{path}}: categorical column 'c' has cardinality {_CARD} > "
+     f"{MAX_CATEGORICAL_CARDINALITY}"),
+    ("mixed_column", "a,t\n1,0\noops,1\n",
+     "{path}: unparseable numeric cell 'oops' at row 2, column 'a'"),
+    ("non_finite_value", "a,t\n1,0\ninf,1\n",
+     "{path}: non-finite numeric value at row 2, column 'a'"),
+    ("no_feature_columns", "t\n0\n1\n",
+     "{path}: no feature columns besides the treatment"),
+    # Precedence: every row's shape and cells are checked before any
+    # treatment value, rows in file order, then columns left to right.
+    ("missing_cell_before_bad_treatment", "a,t\n1,5\n,0\n",
+     "{path}: missing value at row 2, column 'a'"),
+    ("first_bad_treatment_row", "a,t\n1,0\n2,x\n3,y\n",
+     "{path}: treatment value 'x' at row 2 in column 't' is not one of "
+     "0/1/true/false"),
+    ("first_bad_row_of_any_kind", "a,t\n1\n,0\n",
+     "{path}: row 1 has 1 cells, expected 2"),
+    ("first_bad_column", "a,b,t\n1,x,0\ny,2,1\n",
+     "{path}: unparseable numeric cell 'y' at row 2, column 'a'"),
+]
+
+
 class TestLoadCsv:
     def test_numeric_passthrough(self, tmp_path):
         path = write_file(
@@ -180,6 +225,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             load_csv(path, "t")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [case[1:] for case in LOAD_CSV_ERRORS],
+        ids=[case[0] for case in LOAD_CSV_ERRORS],
+    )
+    def test_diagnostic_text(self, tmp_path, text, message):
+        path = write_file(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            load_csv(path, "t")
+        assert str(info.value) == message.replace("{path}", path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(str(tmp_path / "absent.csv"), "t")
@@ -207,6 +263,18 @@ class TestWriteCsv:
         assert back.feature_names == ds.feature_names
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.treatment, ds.treatment)
+
+    def test_exact_text(self, tmp_path):
+        ds = Dataset(
+            np.array([[0.1, -0.0], [1e-300, 123456789.125]]),
+            np.array([0, 1]),
+            ("a", "b"),
+        )
+        path = tmp_path / "out.csv"
+        write_csv(ds, str(path), "t")
+        assert path.read_bytes() == (
+            b"a,b,t\r\n0.1,-0.0,0\r\n1e-300,123456789.125,1\r\n"
+        )
 
     def test_treatment_name_collision(self, tmp_path):
         ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), ("t",))
