@@ -1,19 +1,20 @@
 """Dataset ingestion and validation.
 
 CSV input is parsed with the standard library reader (RFC 4180 style,
-UTF-8, ``.`` decimal separator, header row required). Columns are typed
-by content:
+UTF-8 with an optional BOM, ``.`` decimal separator, header row
+required). Columns are parsed whole and typed by content:
 
-* a column where every cell parses as a finite float is numeric and is
-  kept as-is;
+* a column where every cell parses as a Python ``float`` (surrounding
+  whitespace ignored) is numeric, and a non-finite value is an error;
 * a column where no cell parses as a float is categorical and is
   one-hot encoded into ``<col>=<value>`` indicator columns (values
-  sorted lexicographically), provided its cardinality is at most
-  :data:`MAX_CATEGORICAL_CARDINALITY`;
+  stripped, then sorted lexicographically), provided its cardinality is
+  at most :data:`MAX_CATEGORICAL_CARDINALITY`;
 * a column where only some cells parse is rejected as an unparseable
   numeric cell (the offending row and column are named).
 
-Missing (empty) cells are a hard error everywhere; nothing is imputed.
+Empty or whitespace-only cells are missing, a hard error everywhere;
+nothing is imputed.
 The treatment column accepts ``0``/``1``/``true``/``false`` (case
 insensitive) and float spellings of exactly 0 or 1.
 """
@@ -21,16 +22,12 @@ insensitive) and float spellings of exactly 0 or 1.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 MAX_CATEGORICAL_CARDINALITY = 20
-
-_TRUE_WORDS = frozenset({"1", "true"})
-_FALSE_WORDS = frozenset({"0", "false"})
 
 _TEST_KINDS = ("z", "fisher")
 
@@ -171,31 +168,24 @@ def validate(dataset: Dataset) -> list[str]:
     return diags
 
 
-def _parse_treatment(cell: str, row: int, column: str, path: str) -> int:
-    word = cell.strip().lower()
-    if word in _TRUE_WORDS:
-        return 1
-    if word in _FALSE_WORDS:
-        return 0
-    try:
-        value = float(word)
-    except ValueError:
-        value = math.nan
-    if value == 0.0:
-        return 0
-    if value == 1.0:
-        return 1
-    raise ValueError(
-        f"{path}: treatment value {cell!r} at row {row} in column "
-        f"{column!r} is not one of 0/1/true/false"
-    )
-
-
 def _try_float(cell: str) -> float | None:
     try:
         return float(cell)
     except ValueError:
         return None
+
+
+def _parse_treatment(cell: str, row: int, column: str, path: str) -> int:
+    word = cell.strip().lower()
+    value = _try_float(word)
+    if value == 1.0 or word == "true":
+        return 1
+    if value == 0.0 or word == "false":
+        return 0
+    raise ValueError(
+        f"{path}: treatment value {cell!r} at row {row} in column "
+        f"{column!r} is not one of 0/1/true/false"
+    )
 
 
 def load_csv(path: str, treatment_column: str) -> Dataset:
@@ -208,12 +198,11 @@ def load_csv(path: str, treatment_column: str) -> Dataset:
     row. Ingestion is deterministic: the same file always yields an
     identical Dataset.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        body = list(csv.reader(fh))
+    if not body:
         raise ValueError(f"{path}: file is empty, header row required")
-    header = [h.strip() for h in rows[0]]
-    body = rows[1:]
+    header = [h.strip() for h in body.pop(0)]
     if not body:
         raise ValueError(f"{path}: no data rows")
     if len(set(header)) != len(header):
@@ -229,16 +218,18 @@ def load_csv(path: str, treatment_column: str) -> Dataset:
             raise ValueError(
                 f"{path}: row {i} has {len(row)} cells, expected {width}"
             )
-        for j, cell in enumerate(row):
-            if cell.strip() == "":
-                raise ValueError(
-                    f"{path}: missing value at row {i}, column {header[j]!r}"
-                )
+        if not all(map(str.strip, row)):
+            j = [cell.strip() for cell in row].index("")
+            raise ValueError(
+                f"{path}: missing value at row {i}, column {header[j]!r}"
+            )
+    by_column = list(zip(*body))
+    del body  # the column tuples now hold the only references to the cells
 
     t_idx = header.index(treatment_column)
     treatment = np.array(
-        [_parse_treatment(row[t_idx], i, treatment_column, path)
-         for i, row in enumerate(body, start=1)],
+        [_parse_treatment(cell, i, treatment_column, path)
+         for i, cell in enumerate(by_column[t_idx], start=1)],
         dtype=np.int64,
     )
     if not (treatment == 0).any():
@@ -251,38 +242,42 @@ def load_csv(path: str, treatment_column: str) -> Dataset:
     for j, name in enumerate(header):
         if j == t_idx:
             continue
-        cells = [row[j].strip() for row in body]
-        parsed = [_try_float(c) for c in cells]
-        n_numeric = sum(v is not None for v in parsed)
-        if n_numeric == len(cells):
-            for i, v in enumerate(parsed, start=1):
-                if not math.isfinite(v):  # type: ignore[arg-type]
-                    raise ValueError(
-                        f"{path}: non-finite numeric value at row {i}, "
-                        f"column {name!r}"
-                    )
-            columns.append(np.array(parsed, dtype=np.float64))
+        cells = by_column[j]
+        n = len(cells)
+        try:
+            values = np.fromiter(map(float, cells), np.float64, n)
+        except ValueError:
+            # float() keeps some characters str.strip() drops ("\x1c").
+            cells = [c.strip() for c in cells]
+            parsed = [_try_float(c) for c in cells]
+            n_text = parsed.count(None)
+            values = np.array(parsed, dtype=np.float64) if not n_text else None
+        if values is not None:
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise ValueError(
+                    f"{path}: non-finite numeric value at row "
+                    f"{int(np.argmin(finite)) + 1}, column {name!r}"
+                )
+            columns.append(values)
             names.append(name)
-        elif n_numeric == 0:
+        elif n_text < n:
+            i = parsed.index(None)
+            raise ValueError(
+                f"{path}: unparseable numeric cell {cells[i]!r} at row "
+                f"{i + 1}, column {name!r}"
+            )
+        else:
             levels = sorted(set(cells))
             if len(levels) > MAX_CATEGORICAL_CARDINALITY:
                 raise ValueError(
                     f"{path}: categorical column {name!r} has cardinality "
                     f"{len(levels)} > {MAX_CATEGORICAL_CARDINALITY}"
                 )
-            level_idx = {v: k for k, v in enumerate(levels)}
-            onehot = np.zeros((len(cells), len(levels)), dtype=np.float64)
-            for i, c in enumerate(cells):
-                onehot[i, level_idx[c]] = 1.0
+            codes = np.fromiter(map(levels.index, cells), np.intp, n)
             for k, level in enumerate(levels):
-                columns.append(onehot[:, k])
+                columns.append((codes == k).astype(np.float64))
                 names.append(f"{name}={level}")
-        else:
-            i = next(k for k, v in enumerate(parsed) if v is None)
-            raise ValueError(
-                f"{path}: unparseable numeric cell {cells[i]!r} at row "
-                f"{i + 1}, column {name!r}"
-            )
     if not columns:
         raise ValueError(f"{path}: no feature columns besides the treatment")
     return Dataset(np.column_stack(columns), treatment, tuple(names))

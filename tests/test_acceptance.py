@@ -13,21 +13,21 @@ import numpy as np
 
 from positivity import (
     Config,
-    GroupHistograms,
     SynthSpec,
     analyze_dataset,
-    bh_fdr,
-    build_tree,
-    extract_rules,
-    fisher_exact_test,
     generate,
-    gini,
-    logistic_loss_grad,
-    prune,
     ruleset_mask,
+    write_csv,
+)
+from positivity.density import GroupHistograms
+from positivity.explain import extract_rules
+from positivity.propensity import logistic_loss_grad
+from positivity.tree import build_tree, gini, prune
+from positivity.violation import (
+    bh_fdr,
+    fisher_exact_test,
     two_proportion_test,
     violation_bins,
-    write_csv,
 )
 from positivity.cli import main as cli_main
 from oracles import bh_oracle, z_test_oracle

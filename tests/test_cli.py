@@ -7,12 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from positivity import (
-    Config,
-    NO_VIOLATION_TEXT,
-    estimate_histograms,
-    render_histogram_svg,
-)
+from positivity import Config
+from positivity.density import estimate_histograms
+from positivity.explain import NO_VIOLATION_TEXT
+from positivity.figures import render_histogram_svg
 from positivity.cli import _config_from_args, build_parser, main
 from positivity.violation import BinTest, ViolationReport
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import Config, Dataset, load_csv, validate, write_csv
-from positivity.data import MAX_CATEGORICAL_CARDINALITY
+from oracles import reference_load_csv
+from positivity import Config, Dataset, load_csv, write_csv
+from positivity.data import MAX_CATEGORICAL_CARDINALITY, validate
 
 
 def write_file(tmp_path, text, name="data.csv"):
@@ -145,6 +146,10 @@ LOAD_CSV_ERRORS = [
      "{path}: row 1 has 1 cells, expected 2"),
     ("first_bad_column", "a,b,t\n1,x,0\ny,2,1\n",
      "{path}: unparseable numeric cell 'y' at row 2, column 'a'"),
+    ("whitespace_only_cell", "a,b,t\n1, ,0\n2,3,1\n",
+     "{path}: missing value at row 1, column 'b'"),
+    ("overflow_to_infinity", "a,t\n1,0\n1e400,1\n",
+     "{path}: non-finite numeric value at row 2, column 'a'"),
 ]
 
 
@@ -236,6 +241,12 @@ class TestLoadCsv:
             load_csv(path, "t")
         assert str(info.value) == message.replace("{path}", path)
 
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = write_file(tmp_path, "\ufefft,a\n0,1\n1,2\n")
+        ds = load_csv(path, "t")
+        assert ds.feature_names == ("a",)
+        assert list(ds.treatment) == [0, 1]
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(str(tmp_path / "absent.csv"), "t")
@@ -247,6 +258,67 @@ class TestLoadCsv:
         assert first.feature_names == second.feature_names
         np.testing.assert_array_equal(first.features, second.features)
         np.testing.assert_array_equal(first.treatment, second.treatment)
+
+
+# Raw CSV field text. "7\x1c" parses only after str.strip(), which drops
+# the separator that float() keeps.
+_FINITE_CELLS = ("1", " 2.5 ", "1_000", "-0", "0.1", "-3e-5", "7\x1c", "3\xa0")
+_NON_FINITE_CELLS = ("inf", "1e400")
+_LEVEL_CELLS = (" EU", "EU", "US ", '"EU, north"', '"a,b"')
+_MISSING_CELLS = ("", " ", "\t")
+_TREATMENT_CELLS = ("0", "1", "true", "FALSE", "0.0", " 1 ")
+_FEATURE_POOLS = (
+    _FINITE_CELLS,
+    _FINITE_CELLS,
+    _LEVEL_CELLS,
+    _LEVEL_CELLS,
+    _FINITE_CELLS + _NON_FINITE_CELLS,
+    _FINITE_CELLS + _LEVEL_CELLS,
+    _FINITE_CELLS + _MISSING_CELLS,
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV texts mixing clean and faulty columns, rows and cells."""
+    n_features = draw(st.integers(1, 3))
+    t_col = draw(st.integers(0, n_features))
+    pools = [draw(st.sampled_from(_FEATURE_POOLS)) for _ in range(n_features)]
+    pools.insert(t_col, draw(st.sampled_from(
+        [_TREATMENT_CELLS] * 3 + [_TREATMENT_CELLS + ("yes",)]
+    )))
+    header = [f"f{j}" for j in range(n_features)]
+    header.insert(t_col, "t")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(3, 8))):
+        row = [draw(st.sampled_from(pool)) for pool in pools]
+        ragged = draw(st.sampled_from([0] * 30 + [-1, 1]))
+        row = row[:ragged] if ragged < 0 else row + ["1"] * ragged
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _load_or_message(load, path):
+    try:
+        return load(path, "t")
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_load_csv_matches_reference_reader(tmp_path_factory, text):
+    path = write_file(tmp_path_factory.mktemp("diff"), text)
+    got = _load_or_message(load_csv, path)
+    want = _load_or_message(reference_load_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.feature_names == want.feature_names
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.treatment.tobytes() == want.treatment.tobytes()
 
 
 class TestWriteCsv:

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import GroupHistograms, bin_indices, estimate_histograms
+from positivity.density import (
+    GroupHistograms,
+    bin_indices,
+    estimate_histograms,
+)
 
 
 def bin_of(score, bins):

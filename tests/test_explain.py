@@ -8,18 +8,14 @@ import pytest
 
 from positivity import (
     Config,
-    NO_VIOLATION_TEXT,
-    ExplanationTree,
     Rule,
     RuleSet,
-    TreeNode,
-    build_tree,
-    extract_rules,
-    prune,
     render_report,
     render_text,
     ruleset_mask,
 )
+from positivity.explain import NO_VIOLATION_TEXT, extract_rules
+from positivity.tree import ExplanationTree, TreeNode, build_tree, prune
 from positivity.propensity import PropensityResult
 from positivity.violation import BinTest, ViolationReport
 

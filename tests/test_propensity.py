@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import (
-    Config,
-    Dataset,
+from positivity import Config, Dataset
+from positivity.propensity import (
+    MAX_DESIGN_COLUMNS,
     auc,
     expand_features,
     fit,
@@ -21,7 +21,6 @@ from positivity import (
     predict,
 )
 from positivity import propensity
-from positivity.propensity import MAX_DESIGN_COLUMNS
 
 
 def logit(p):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from positivity import CovariateSpec, SynthSpec, generate
-from positivity.synth import DEFAULT_CARVE, carve_mask
+from positivity import SynthSpec, generate
+from positivity.synth import DEFAULT_CARVE, CovariateSpec, carve_mask
 
 
 def in_default_carve(features, names):

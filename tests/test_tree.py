@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import (
-    Config,
+from positivity import Config, render_tree_text
+from positivity.tree import (
     ExplanationTree,
     TreeNode,
     best_split,
     build_tree,
     gini,
     prune,
-    render_tree_text,
 )
 
 

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from oracles import bh_rejections_oracle
 from positivity import violation
-from positivity import (
-    Config,
-    GroupHistograms,
+from positivity import Config
+from positivity.density import GroupHistograms, estimate_histograms
+from positivity.violation import (
     bh_fdr,
     detect,
-    estimate_histograms,
     fisher_exact_test,
     two_proportion_test,
     violation_bins,
