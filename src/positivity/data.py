@@ -188,18 +188,41 @@ def _parse_treatment(cell: str, row: int, column: str, path: str) -> int:
     )
 
 
+def _utf8_error(path: str) -> str:
+    """Name the first line of ``path`` that is not valid UTF-8.
+
+    The streamed text read reports only an offset into its decode
+    buffer, so the file is rescanned in binary, line by line; a newline
+    byte never occurs inside a multi-byte UTF-8 sequence.
+    """
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}: line {number} is not valid UTF-8 ({exc.reason})"
+    return f"{path}: not valid UTF-8"
+
+
 def load_csv(path: str, treatment_column: str) -> Dataset:
     """Load a CSV file into a :class:`Dataset`.
 
     Raises ``ValueError`` with a distinct diagnostic for: a missing
     treatment column, a categorical column with more than
     :data:`MAX_CATEGORICAL_CARDINALITY` distinct values, an unparseable
-    numeric cell, an empty treatment group, a missing cell, or a ragged
-    row. Ingestion is deterministic: the same file always yields an
-    identical Dataset.
+    numeric cell, an empty treatment group, a missing cell, a ragged
+    row, a line that is not valid UTF-8, or a line the csv module
+    rejects (such as a cell past its field size limit). Ingestion is
+    deterministic: the same file always yields an identical Dataset.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        body = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            body = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(_utf8_error(path)) from exc
     if not body:
         raise ValueError(f"{path}: file is empty, header row required")
     header = [h.strip() for h in body.pop(0)]

@@ -27,9 +27,14 @@ keeping the model logistic and convex. Pair blocks are added in feature
 order up to :data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap
 are dropped with a logged warning. The design is never materialized:
 a :class:`Design` holds the raw columns plus one vector of integer
-level codes per indicator block, so its memory is O(n * blocks), and
-products with the standardized design are a gather (``X @ w``) or an
-``np.bincount`` (``X.T @ r``) per block.
+level codes per indicator block, so its memory is O(n * blocks).
+A pair block's cell codes ``ca * kb + cb`` refine the bin blocks of both
+of its features, so each bin block is absorbed by the first kept pair
+that contains its feature. Products with the standardized design then
+cost one row pass per pair block, plus one per bin block no kept pair
+absorbs: a gather from a small table of cell values (``X @ w``) or an
+``np.bincount`` over the cell codes whose margins give the absorbed bin
+columns (``X.T @ r``).
 """
 
 from __future__ import annotations
@@ -96,12 +101,18 @@ class Design:
     Columns 0..d_raw-1 are the raw features. Each block ``(codes, k)``
     then adds k indicator columns, of which row i sets column
     ``codes[i]``. ``feature_names`` names all :attr:`d` columns.
+
+    Each ``nesting`` entry ``(pair, a, b)`` holds block indices: a pair
+    block with ``ka * kb`` cells coded ``ca * kb + cb``, then the bin
+    block whose codes are ``ca`` and the one whose codes are ``cb``,
+    either of them None. A bin block appears in at most one entry.
     """
 
     raw: NDArray[np.float64]
     treatment: NDArray[np.int64]
     blocks: tuple[tuple[NDArray[np.int64], int], ...]
     feature_names: tuple[str, ...]
+    nesting: tuple[tuple[int, int | None, int | None], ...] = ()
 
     @property
     def n(self) -> int:
@@ -118,6 +129,7 @@ class Design:
             self.treatment[rows],
             tuple((codes[rows], k) for codes, k in self.blocks),
             self.feature_names,
+            self.nesting,
         )
 
 
@@ -130,13 +142,23 @@ def _as_design(dataset: Dataset | Design) -> Design:
     )
 
 
+def _softplus_sigmoid(
+    z: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``log(1 + e^z)`` and ``1 / (1 + e^-z)`` from one exp per row.
+
+    Both are built from ``e = e^-|z|``, which lies in [0, 1], so neither
+    overflows for any z.
+    """
+    e = np.exp(-np.abs(z))
+    return (
+        np.maximum(z, 0.0) + np.log1p(e),
+        np.where(z >= 0, 1.0, e) / (1.0 + e),
+    )
+
+
 def _sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _softplus_sigmoid(z)[1]
 
 
 def logistic_loss_grad(
@@ -156,10 +178,9 @@ def logistic_loss_grad(
     w = params[:-1]
     b = params[-1]
     z = features_std @ w + b
-    # log(1 + e^z) - t z, computed stably for large |z|
-    ce = np.logaddexp(0.0, z) - labels * z
+    softplus, p = _softplus_sigmoid(z)
+    ce = softplus - labels * z
     loss = float(ce.mean() + 0.5 * l2_lambda * (w @ w))
-    p = _sigmoid(z)
     resid = p - labels
     n = labels.shape[0]
     grad = np.empty(params.shape[0], dtype=np.float64)
@@ -186,10 +207,11 @@ def _column_moments(design: Design):
 class _Standardized:
     """The standardized design ``(X - means) / stds`` as a linear operator.
 
-    ``op @ w`` gathers and ``op.T @ r`` bincounts per block, from the raw
-    columns and the level codes, without forming X. A column whose std
-    is 0 reads as all zeros, as a constant column does after dense
-    standardization.
+    ``op @ w`` gathers and ``op.T @ r`` bincounts once per row pass, from
+    the raw columns and the level codes, without forming X. A row pass
+    covers one block not absorbed by a pair, together with the bin
+    blocks its nesting entry absorbs. A column whose std is 0 reads as
+    all zeros, as a constant column does after dense standardization.
     """
 
     def __init__(self, design: Design, means, stds) -> None:
@@ -198,18 +220,42 @@ class _Standardized:
         self.scale = np.divide(
             1.0, stds, out=np.zeros_like(stds), where=stds != 0.0
         )
-        # (level codes, first column, end column) per block
-        self.blocks = []
-        start = design.raw.shape[1]
-        for codes, k in design.blocks:
-            self.blocks.append((codes, start, start + k))
-            start += k
+        blocks = design.blocks
+        stops = design.raw.shape[1] + np.cumsum([k for _, k in blocks])
+        cols = [slice(stop - k, stop) for (_, k), stop in zip(blocks, stops)]
+        nests = {pair: (a, b) for pair, a, b in design.nesting}
+        absorbed = {i for nest in nests.values() for i in nest}
+        # (level codes, columns, cell grid shape, columns of the absorbed
+        # bin block indexed by the grid's rows, then by its columns)
+        self.passes = []
+        for i, (codes, k) in enumerate(blocks):
+            if i in absorbed:
+                continue
+            a, b = nests.get(i, (None, None))
+            if a is not None:
+                grid = (blocks[a][1], -1)
+            elif b is not None:
+                grid = (-1, blocks[b][1])
+            else:
+                grid = (k,)
+            self.passes.append((
+                codes,
+                cols[i],
+                grid,
+                None if a is None else cols[a],
+                None if b is None else cols[b],
+            ))
 
     def __matmul__(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
         v = w * self.scale
         z = self.raw @ v[: self.raw.shape[1]]
-        for codes, start, stop in self.blocks:
-            z += v[start:stop][codes]
+        for codes, cols, grid, rows, columns in self.passes:
+            table = v[cols].reshape(grid)
+            if rows is not None:
+                table = table + v[rows][:, None]
+            if columns is not None:
+                table = table + v[columns]
+            z += table.ravel()[codes]
         return z - self.means @ v
 
     @property
@@ -227,8 +273,13 @@ class _Transposed:
         op = self.op
         out = np.empty_like(op.scale)
         out[: op.raw.shape[1]] = op.raw.T @ r
-        for codes, start, stop in op.blocks:
-            out[start:stop] = np.bincount(codes, r, stop - start)
+        for codes, cols, grid, rows, columns in op.passes:
+            cells = np.bincount(codes, r, cols.stop - cols.start)
+            out[cols] = cells
+            if rows is not None:
+                out[rows] = cells.reshape(grid).sum(1)
+            if columns is not None:
+                out[columns] = cells.reshape(grid).sum(0)
         return (out - op.means * r.sum()) * op.scale
 
 
@@ -463,7 +514,8 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
     raises ``ValueError`` when the raw columns and bin blocks alone pass
     the cap. The returned :class:`Design` keeps the original columns
     first and the blocks as level codes; the n x D indicator matrix is
-    never built.
+    never built. Its ``nesting`` records, for each bin block, the first
+    kept pair that contains its feature, which absorbs it in products.
     Empty levels are constant columns, which the fit leaves at weight
     zero.
     """
@@ -475,6 +527,8 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
     # per non-constant feature: (index, level codes, level count)
     coded: list[tuple[int, NDArray[np.int64], int]] = []
     blocks: list[tuple[NDArray[np.int64], int, list[str]]] = []
+    # feature index -> its bin block, until a kept pair absorbs it
+    unabsorbed: dict[int, int] = {}
     for j in range(d):
         col = feats[:, j]
         lo = col.min()
@@ -487,6 +541,7 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
         width = (hi - lo) / bins
         idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
         coded.append((j, idx, bins))
+        unabsorbed[j] = len(blocks)
         blocks.append(
             (idx, bins, [f"{raw_names[j]}::bin{b}" for b in range(bins)])
         )
@@ -496,6 +551,7 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
             f"expand_features: {n_cols} columns before any feature pair "
             f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
         )
+    nesting: list[tuple[int, int | None, int | None]] = []
     for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
         if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
             logger.warning(
@@ -503,6 +559,9 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
                 "remaining feature pairs", MAX_DESIGN_COLUMNS,
             )
             break
+        nest = (unabsorbed.pop(a, None), unabsorbed.pop(b, None))
+        if nest != (None, None):
+            nesting.append((len(blocks), *nest))
         pair = f"{raw_names[a]}*{raw_names[b]}"
         blocks.append((
             codes_a * kb + codes_b,
@@ -522,4 +581,5 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
         dataset.treatment,
         tuple((codes, k) for codes, k, _ in blocks),
         tuple(names),
+        tuple(nesting),
     )

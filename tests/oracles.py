@@ -5,7 +5,9 @@ own code paths: the normal CDF comes from mpmath at 50 digits, Fisher
 probabilities from exact integer arithmetic, and the FDR adjustment
 from the textbook step-up loop. ``reference_load_csv`` is the earlier
 row-at-a-time CSV reader, kept verbatim apart from its names; it only
-borrows the package's ``Dataset`` to return its result.
+borrows the package's ``Dataset`` to return its result. The logistic
+terms are the earlier masked sigmoid and the ``np.logaddexp`` softplus
+that the propensity loss used.
 """
 
 import csv
@@ -205,3 +207,18 @@ def reference_load_csv(path: str, treatment_column: str) -> Dataset:
     if not columns:
         raise ValueError(f"{path}: no feature columns besides the treatment")
     return Dataset(np.column_stack(columns), treatment, tuple(names))
+
+
+def reference_sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
+    """1 / (1 + e^-z), one exp per sign class through boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_softplus(z: NDArray[np.float64]) -> NDArray[np.float64]:
+    """log(1 + e^z), computed stably for large |z|."""
+    return np.logaddexp(0.0, z)

@@ -144,6 +144,30 @@ class TestDataErrors:
         assert code == 2
         assert "invalid data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"a,t\n1,0\n" + b"7" * 140_000 + b",1\n",
+             "line 3: field larger than field limit (131072)"),
+            (b"a,t\n\xe9,0\n1,1\n",
+             "line 2 is not valid UTF-8 (invalid continuation byte)"),
+        ],
+        ids=["oversized_cell", "not_utf8"],
+    )
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code = main(
+            [
+                "analyze", str(path), "--treatment-col", "t",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid data: {path}: {message}\n"
+        )
+
     def test_single_group_exit_2(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("a,t\n1,1\n2,1\n", encoding="utf-8")

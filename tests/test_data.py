@@ -11,8 +11,12 @@ from positivity.data import MAX_CATEGORICAL_CARDINALITY, validate
 
 
 def write_file(tmp_path, text, name="data.csv"):
+    """Write ``text`` as UTF-8, or ``bytes`` as they are."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -150,6 +154,8 @@ LOAD_CSV_ERRORS = [
      "{path}: missing value at row 1, column 'b'"),
     ("overflow_to_infinity", "a,t\n1,0\n1e400,1\n",
      "{path}: non-finite numeric value at row 2, column 'a'"),
+    ("not_utf8", b"a,t\n1,0\n\xe9,1\n",
+     "{path}: line 3 is not valid UTF-8 (invalid continuation byte)"),
 ]
 
 

@@ -22,6 +22,8 @@ from positivity.propensity import (
 )
 from positivity import propensity
 
+from oracles import reference_sigmoid, reference_softplus
+
 
 def logit(p):
     return math.log(p / (1.0 - p))
@@ -68,6 +70,39 @@ class TestLossGradient:
         loss_small, _ = logistic_loss_grad(params, features, labels, 0.0)
         loss_big, _ = logistic_loss_grad(params, features, labels, 100.0)
         assert loss_small == loss_big
+
+
+_LOGISTIC_EDGES = np.array([
+    0.0, 1e-300, 1e-17, 0.5, 1.0, 18.0, 36.0, 37.0,
+    709.0, 710.0, 745.0, 746.0, 800.0, np.inf,
+])
+LOGISTIC_GRID = np.concatenate([
+    _LOGISTIC_EDGES,
+    -_LOGISTIC_EDGES,
+    np.linspace(-60.0, 60.0, 4801),
+    np.random.default_rng(24).uniform(-800.0, 800.0, 2000),
+])
+
+
+class TestLogisticTerms:
+    """The one-exp logistic terms against the earlier two-branch forms."""
+
+    def test_sigmoid_bitwise_equal_to_masked_form(self):
+        want = reference_sigmoid(LOGISTIC_GRID).view(np.int64)
+        got = propensity._sigmoid(LOGISTIC_GRID)
+        np.testing.assert_array_equal(got.view(np.int64), want)
+        _, p = propensity._softplus_sigmoid(LOGISTIC_GRID)
+        np.testing.assert_array_equal(p.view(np.int64), want)
+
+    def test_softplus_within_ulps_of_logaddexp(self):
+        got, _ = propensity._softplus_sigmoid(LOGISTIC_GRID)
+        want = reference_softplus(LOGISTIC_GRID)
+        # np.exp and np.log1p may run vectorized kernels that round apart
+        # from the C library calls inside np.logaddexp, by up to two ulps
+        # each; at 0 and at the far ends both forms are exact
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        exact = np.isin(np.abs(LOGISTIC_GRID), (0.0, 800.0, np.inf))
+        np.testing.assert_array_equal(got[exact], want[exact])
 
 
 class TestFit:
@@ -493,3 +528,56 @@ class TestDesignParity:
         _, constant = self.dense_standardized(design)
         assert (model.weights[constant] == 0.0).all()
         assert (model.feature_stds[constant] == 1.0).all()
+
+
+class TestNestedDesignParity:
+    """The operator on a capped design whose pair blocks absorb bin blocks."""
+
+    def make(self):
+        # the data of test_default_cap_keeps_leading_pairs with x1 binary:
+        # x0 * x1 absorbs x0's bins and x1 has none, x0 * x2 .. x0 * x8
+        # each absorb the second feature's bins, and the cap drops x0 * x9,
+        # so x9's bin block stays on its own
+        rng = np.random.default_rng(14)
+        n, d = 200, 10
+        features = rng.uniform(0, 1, (n, d))
+        features[:, 1] = features[:, 1] < 0.4
+        treatment = rng.integers(0, 2, n)
+        treatment[0], treatment[1] = 0, 1
+        design = expand_features(Dataset(features, treatment), bins=16)
+        assert design.nesting == ((9, 0, None),) + tuple(
+            (9 + b, None, b) for b in range(1, 8)
+        )
+        assert len(design.blocks) == 9 + 8
+        return design
+
+    def test_take_keeps_nesting(self):
+        design = self.make()
+        assert design.take(np.array([3, 1, 4])).nesting == design.nesting
+
+    def test_loss_grad_match_dense(self):
+        design = self.make()
+        x = dense(design)
+        stds = x.std(axis=0)
+        x_std = (x - x.mean(axis=0)) / np.where(stds == 0.0, 1.0, stds)
+        op = propensity._Standardized(
+            design, *propensity._column_moments(design)
+        )
+        assert len(op.passes) == 9
+        labels = design.treatment.astype(np.float64)
+        rng = np.random.default_rng(25)
+        for lam in (0.0, 1e-4, 0.5):
+            params = rng.standard_normal(design.d + 1)
+            loss_op, grad_op = logistic_loss_grad(params, op, labels, lam)
+            loss_x, grad_x = logistic_loss_grad(params, x_std, labels, lam)
+            assert abs(loss_op - loss_x) <= 1e-12
+            np.testing.assert_allclose(grad_op, grad_x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_fit_predict_matches_dense_dataset(self, folds):
+        design = self.make()
+        reference = Dataset(dense(design), design.treatment, design.feature_names)
+        config = Config(cross_fit_folds=folds, seed=5)
+        got = fit_predict(design, config)
+        want = fit_predict(reference, config)
+        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-6)
