@@ -26,15 +26,13 @@ plus pairwise bin-interaction cells make such regions separable while
 keeping the model logistic and convex. Pair blocks are added in feature
 order up to :data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap
 are dropped with a logged warning. The design is never materialized:
-a :class:`Design` holds the raw columns plus one vector of integer
-level codes per indicator block, so its memory is O(n * blocks).
-A pair block's cell codes ``ca * kb + cb`` refine the bin blocks of both
-of its features, so each bin block is absorbed by the first kept pair
-that contains its feature. Products with the standardized design then
-cost one row pass per pair block, plus one per bin block no kept pair
-absorbs: a gather from a small table of cell values (``X @ w``) or an
-``np.bincount`` over the cell codes whose margins give the absorbed bin
-columns (``X.T @ r``).
+a :class:`Design` holds the raw columns plus its indicator columns as
+row passes, each one vector of integer codes. A pair's cell codes
+``ca * kb + cb`` also give the bin levels of both of its features, so
+the pass of the first kept pair that contains a feature carries that
+feature's bins too; a feature no kept pair contains has a pass of its
+own bins. A product with the standardized design costs one gather
+(``X @ w``) or one ``np.bincount`` (``X.T @ r``) per pass.
 """
 
 from __future__ import annotations
@@ -96,23 +94,22 @@ class PropensityResult:
 
 @dataclass(frozen=True)
 class Design:
-    """Raw columns plus indicator blocks held as integer level codes.
+    """Raw columns plus indicator columns held as row passes.
 
-    Columns 0..d_raw-1 are the raw features. Each block ``(codes, k)``
-    then adds k indicator columns, of which row i sets column
-    ``codes[i]``. ``feature_names`` names all :attr:`d` columns.
-
-    Each ``nesting`` entry ``(pair, a, b)`` holds block indices: a pair
-    block with ``ka * kb`` cells coded ``ca * kb + cb``, then the bin
-    block whose codes are ``ca`` and the one whose codes are ``cb``,
-    either of them None. A bin block appears in at most one entry.
+    Columns 0..d_raw-1 are the raw features; ``feature_names`` names all
+    :attr:`d` columns. Each pass ``(codes, cells, grid, rows, cols)``
+    sets, in row i, column ``cells.start + codes[i]`` of the column slice
+    ``cells``, whose columns form a cell grid of shape ``grid``. A pair
+    pass has ``grid = (ka, kb)`` and may also set the bin columns of its
+    grid row, ``rows.start + codes[i] // kb``, and of its grid column,
+    ``cols.start + codes[i] % kb``; ``rows`` and ``cols`` are None when
+    it does not, as in a bin pass, whose grid is ``(k,)``.
     """
 
     raw: NDArray[np.float64]
     treatment: NDArray[np.int64]
-    blocks: tuple[tuple[NDArray[np.int64], int], ...]
     feature_names: tuple[str, ...]
-    nesting: tuple[tuple[int, int | None, int | None], ...] = ()
+    passes: tuple[tuple, ...] = ()
 
     @property
     def n(self) -> int:
@@ -120,26 +117,23 @@ class Design:
 
     @property
     def d(self) -> int:
-        return self.raw.shape[1] + sum(k for _, k in self.blocks)
+        return len(self.feature_names)
 
     def take(self, rows: NDArray[np.intp]) -> Design:
         """The same design restricted to ``rows``."""
         return Design(
             self.raw[rows],
             self.treatment[rows],
-            tuple((codes[rows], k) for codes, k in self.blocks),
             self.feature_names,
-            self.nesting,
+            tuple((codes[rows], *rest) for codes, *rest in self.passes),
         )
 
 
 def _as_design(dataset: Dataset | Design) -> Design:
-    """A dataset is a design with no indicator blocks."""
+    """A dataset is a design with no indicator columns."""
     if isinstance(dataset, Design):
         return dataset
-    return Design(
-        dataset.features, dataset.treatment, (), dataset.feature_names
-    )
+    return Design(dataset.features, dataset.treatment, dataset.feature_names)
 
 
 def _softplus_sigmoid(
@@ -161,6 +155,27 @@ def _sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
     return _softplus_sigmoid(z)[1]
 
 
+def _loss_grad_p(
+    params: NDArray[np.float64],
+    features_std: NDArray[np.float64],
+    labels: NDArray[np.float64],
+    l2_lambda: float,
+) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
+    """:func:`logistic_loss_grad` plus the per-row scores p it computed."""
+    w = params[:-1]
+    b = params[-1]
+    z = features_std @ w + b
+    softplus, p = _softplus_sigmoid(z)
+    ce = softplus - labels * z
+    loss = float(ce.mean() + 0.5 * l2_lambda * (w @ w))
+    resid = p - labels
+    n = labels.shape[0]
+    grad = np.empty(params.shape[0], dtype=np.float64)
+    grad[:-1] = features_std.T @ resid / n + l2_lambda * w
+    grad[-1] = resid.mean()
+    return loss, grad, p
+
+
 def logistic_loss_grad(
     params: NDArray[np.float64],
     features_std: NDArray[np.float64],
@@ -175,86 +190,69 @@ def logistic_loss_grad(
     such as the design operator :func:`fit` uses. Exposed separately so
     the analytic gradient can be checked against finite differences.
     """
-    w = params[:-1]
-    b = params[-1]
-    z = features_std @ w + b
-    softplus, p = _softplus_sigmoid(z)
-    ce = softplus - labels * z
-    loss = float(ce.mean() + 0.5 * l2_lambda * (w @ w))
-    resid = p - labels
-    n = labels.shape[0]
-    grad = np.empty(params.shape[0], dtype=np.float64)
-    grad[:-1] = features_std.T @ resid / n + l2_lambda * w
-    grad[-1] = resid.mean()
-    return loss, grad
+    return _loss_grad_p(params, features_std, labels, l2_lambda)[:2]
+
+
+def _indicator_sums(passes, weights, out: NDArray[np.float64]):
+    """Per-column sums of ``weights`` (None: ones) over the indicator rows.
+
+    Writes every indicator column of ``out`` from one ``np.bincount``
+    per pass; a pass's bin columns are the margins of its cell grid.
+    """
+    for codes, cells, grid, rows, cols in passes:
+        sums = np.bincount(codes, weights, cells.stop - cells.start)
+        out[cells] = sums
+        if rows is not None:
+            out[rows] = sums.reshape(grid).sum(1)
+        if cols is not None:
+            out[cols] = sums.reshape(grid).sum(0)
+    return out
 
 
 def _column_moments(design: Design):
     """Column means and standard deviations of the full design.
 
     Raw columns use ``mean``/``std`` over rows. An indicator column with
-    level share p has mean p and standard deviation sqrt(p (1 - p)).
+    level share p has mean p and standard deviation sqrt(p (1 - p)); the
+    shares come from integer row counts.
     """
-    means = [design.raw.mean(axis=0)]
-    stds = [design.raw.std(axis=0)]
-    for codes, k in design.blocks:
-        share = np.bincount(codes, minlength=k) / design.n
-        means.append(share)
-        stds.append(np.sqrt(share * (1.0 - share)))
-    return np.concatenate(means), np.concatenate(stds)
+    d_raw = design.raw.shape[1]
+    means = _indicator_sums(design.passes, None, np.empty(design.d))
+    means[:d_raw] = design.raw.mean(axis=0)
+    means[d_raw:] /= design.n
+    share = means[d_raw:]
+    stds = np.concatenate(
+        [design.raw.std(axis=0), np.sqrt(share * (1.0 - share))]
+    )
+    return means, stds
 
 
 class _Standardized:
     """The standardized design ``(X - means) / stds`` as a linear operator.
 
-    ``op @ w`` gathers and ``op.T @ r`` bincounts once per row pass, from
-    the raw columns and the level codes, without forming X. A row pass
-    covers one block not absorbed by a pair, together with the bin
-    blocks its nesting entry absorbs. A column whose std is 0 reads as
-    all zeros, as a constant column does after dense standardization.
+    ``op @ w`` gathers and ``op.T @ r`` bincounts once per row pass of
+    the design, from the raw columns and the codes, without forming X.
+    A column whose std is 0 reads as all zeros, as a constant column
+    does after dense standardization.
     """
 
     def __init__(self, design: Design, means, stds) -> None:
         self.raw = design.raw
+        self.passes = design.passes
         self.means = means
         self.scale = np.divide(
             1.0, stds, out=np.zeros_like(stds), where=stds != 0.0
         )
-        blocks = design.blocks
-        stops = design.raw.shape[1] + np.cumsum([k for _, k in blocks])
-        cols = [slice(stop - k, stop) for (_, k), stop in zip(blocks, stops)]
-        nests = {pair: (a, b) for pair, a, b in design.nesting}
-        absorbed = {i for nest in nests.values() for i in nest}
-        # (level codes, columns, cell grid shape, columns of the absorbed
-        # bin block indexed by the grid's rows, then by its columns)
-        self.passes = []
-        for i, (codes, k) in enumerate(blocks):
-            if i in absorbed:
-                continue
-            a, b = nests.get(i, (None, None))
-            if a is not None:
-                grid = (blocks[a][1], -1)
-            elif b is not None:
-                grid = (-1, blocks[b][1])
-            else:
-                grid = (k,)
-            self.passes.append((
-                codes,
-                cols[i],
-                grid,
-                None if a is None else cols[a],
-                None if b is None else cols[b],
-            ))
 
     def __matmul__(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
         v = w * self.scale
         z = self.raw @ v[: self.raw.shape[1]]
-        for codes, cols, grid, rows, columns in self.passes:
-            table = v[cols].reshape(grid)
+        for codes, cells, grid, rows, cols in self.passes:
+            table = v[cells].reshape(grid)
             if rows is not None:
                 table = table + v[rows][:, None]
-            if columns is not None:
-                table = table + v[columns]
+            if cols is not None:
+                table = table + v[cols]
             z += table.ravel()[codes]
         return z - self.means @ v
 
@@ -271,15 +269,8 @@ class _Transposed:
 
     def __matmul__(self, r: NDArray[np.float64]) -> NDArray[np.float64]:
         op = self.op
-        out = np.empty_like(op.scale)
+        out = _indicator_sums(op.passes, r, np.empty_like(op.scale))
         out[: op.raw.shape[1]] = op.raw.T @ r
-        for codes, cols, grid, rows, columns in op.passes:
-            cells = np.bincount(codes, r, cols.stop - cols.start)
-            out[cols] = cells
-            if rows is not None:
-                out[rows] = cells.reshape(grid).sum(1)
-            if columns is not None:
-                out[columns] = cells.reshape(grid).sum(0)
         return (out - op.means * r.sum()) * op.scale
 
 
@@ -338,8 +329,8 @@ def fit(
     """Fit the regularized logistic model to a design or a dataset.
 
     A :class:`~positivity.data.Dataset` is fit as a design with no
-    indicator blocks. Each Newton step is a truncated conjugate-gradient
-    solve from Hessian-vector products on the level codes, so no n x D
+    indicator columns. Each Newton step is a truncated conjugate-gradient
+    solve from Hessian-vector products on the row passes, so no n x D
     matrix is formed. Stops when the gradient max-norm drops below 1e-8
     (converged), after ``max_iter`` Newton steps, or at the first step
     whose halvings all leave the loss higher; the last two are reported
@@ -357,13 +348,12 @@ def fit(
     labels = design.treatment.astype(np.float64)
     n = design.n
     params = np.zeros(design.d + 1, dtype=np.float64)
-    loss, grad = logistic_loss_grad(params, x_std, labels, l2_lambda)
+    loss, grad, p = _loss_grad_p(params, x_std, labels, l2_lambda)
     if not np.isfinite(loss):
         raise RuntimeError("non-finite loss at initialization")
     it = 0
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
-        p = _sigmoid(x_std @ params[:-1] + params[-1])
         step = _newton_step(
             partial(_hess_vec, x_std, p * (1.0 - p) / n, l2_lambda), grad
         )
@@ -371,7 +361,7 @@ def fit(
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             candidate = params - scale * step
-            new_loss, new_grad = logistic_loss_grad(
+            new_loss, new_grad, new_p = _loss_grad_p(
                 candidate, x_std, labels, l2_lambda
             )
             if np.isfinite(new_loss) and new_loss <= loss:
@@ -380,7 +370,7 @@ def fit(
         else:
             # the next step would repeat this same failed search
             break
-        params, loss, grad = candidate, new_loss, new_grad
+        params, loss, grad, p = candidate, new_loss, new_grad, new_p
     converged = bool(np.abs(grad).max() < _GRAD_TOL)
     if not converged:
         logger.warning(
@@ -507,79 +497,78 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
     Every non-constant feature gets a level code per row: binary
     columns use their own value (2 levels), other numeric columns are
     cut into ``bins`` equal-width intervals over their observed range.
-    The design lists blocks of level codes: one indicator block per
-    numeric (non-binary) feature, then one cell block per feature pair
-    in feature order, stopping at the first pair that would take the
-    design past :data:`MAX_DESIGN_COLUMNS` (logged as a warning); it
-    raises ``ValueError`` when the raw columns and bin blocks alone pass
-    the cap. The returned :class:`Design` keeps the original columns
-    first and the blocks as level codes; the n x D indicator matrix is
-    never built. Its ``nesting`` records, for each bin block, the first
-    kept pair that contains its feature, which absorbs it in products.
-    Empty levels are constant columns, which the fit leaves at weight
-    zero.
+    The columns are the raw features, then one block of bin indicators
+    per numeric (non-binary) feature, then one block of cells per
+    feature pair in feature order, stopping at the first pair that
+    would take the design past :data:`MAX_DESIGN_COLUMNS` (logged as a
+    warning). It raises ``ValueError`` when the raw columns and bin
+    blocks alone pass the cap, or when a column's range gives a bin
+    width of 0 or inf. The returned :class:`Design` holds the indicator
+    columns as row passes, never as the n x D matrix: the bins of each
+    feature no kept pair contains, then each kept pair together with
+    the bins of its features that no earlier pair carries. Empty levels
+    are constant columns, which the fit leaves at weight zero.
     """
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     feats = dataset.features
-    d = feats.shape[1]
     raw_names = dataset.feature_names
+    names = list(raw_names)
     # per non-constant feature: (index, level codes, level count)
     coded: list[tuple[int, NDArray[np.int64], int]] = []
-    blocks: list[tuple[NDArray[np.int64], int, list[str]]] = []
-    # feature index -> its bin block, until a kept pair absorbs it
-    unabsorbed: dict[int, int] = {}
-    for j in range(d):
+    # feature index -> (codes, columns) of its bins, until a pair takes them
+    unabsorbed: dict[int, tuple[NDArray[np.int64], slice]] = {}
+    for j in range(feats.shape[1]):
         col = feats[:, j]
-        lo = col.min()
-        hi = col.max()
+        lo = float(col.min())
+        hi = float(col.max())
         if lo == hi:
             continue
         if _is_binary(col):
             coded.append((j, col.astype(np.int64), 2))
             continue
+        # Python floats overflow to inf and underflow to 0 silently
         width = (hi - lo) / bins
+        if not 0.0 < width < np.inf:
+            raise ValueError(
+                f"expand_features: column {raw_names[j]!r} spans "
+                f"[{lo!r}, {hi!r}], so its {bins} equal-width bins would "
+                f"have width {width!r}"
+            )
         idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
         coded.append((j, idx, bins))
-        unabsorbed[j] = len(blocks)
-        blocks.append(
-            (idx, bins, [f"{raw_names[j]}::bin{b}" for b in range(bins)])
-        )
-    n_cols = d + sum(k for _, k, _ in blocks)
-    if n_cols > MAX_DESIGN_COLUMNS:
+        unabsorbed[j] = (idx, slice(len(names), len(names) + bins))
+        names.extend(f"{raw_names[j]}::bin{b}" for b in range(bins))
+    if len(names) > MAX_DESIGN_COLUMNS:
         raise ValueError(
-            f"expand_features: {n_cols} columns before any feature pair "
+            f"expand_features: {len(names)} columns before any feature pair "
             f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
         )
-    nesting: list[tuple[int, int | None, int | None]] = []
+    pairs = []
     for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
-        if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
+        if len(names) + ka * kb > MAX_DESIGN_COLUMNS:
             logger.warning(
                 "expand_features: column cap %d reached, skipping "
                 "remaining feature pairs", MAX_DESIGN_COLUMNS,
             )
             break
-        nest = (unabsorbed.pop(a, None), unabsorbed.pop(b, None))
-        if nest != (None, None):
-            nesting.append((len(blocks), *nest))
-        pair = f"{raw_names[a]}*{raw_names[b]}"
-        blocks.append((
+        pairs.append((
             codes_a * kb + codes_b,
-            ka * kb,
-            [f"{pair}::cell{la}x{lb}" for la in range(ka) for lb in range(kb)],
+            slice(len(names), len(names) + ka * kb),
+            (ka, kb),
+            unabsorbed.pop(a, (None, None))[1],
+            unabsorbed.pop(b, (None, None))[1],
         ))
-        n_cols += ka * kb
-    names = list(raw_names)
-    for _, _, block_names in blocks:
-        names.extend(block_names)
+        pair = f"{raw_names[a]}*{raw_names[b]}"
+        names.extend(
+            f"{pair}::cell{la}x{lb}" for la in range(ka) for lb in range(kb)
+        )
     if len(set(names)) != len(names):
         raise ValueError(
             "expanded feature names collide with existing columns"
         )
+    lone = [(codes, cells, (bins,), None, None)
+            for codes, cells in unabsorbed.values()]
     return Design(
-        feats,
-        dataset.treatment,
-        tuple((codes, k) for codes, k, _ in blocks),
-        tuple(names),
-        tuple(nesting),
+        feats, dataset.treatment, tuple(names), tuple(lone + pairs)
     )

@@ -115,9 +115,12 @@ def _search(
         score = (nl * gl + nr * gr) / nf
         k = int(np.argmin(score))
         if score[k] < bound:
-            i = int(cut[k])
+            lo, hi = float(values[cut[k]]), float(values[cut[k] + 1])
+            # halving first cannot overflow; the midpoint of two adjacent
+            # floats can round up to hi, which would send every row left
+            mid = 0.5 * lo + 0.5 * hi
             bound = float(score[k])
-            best = (j, float(0.5 * (values[i] + values[i + 1])), bound)
+            best = (j, lo if mid == hi else mid, bound)
     return best
 
 

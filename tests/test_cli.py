@@ -100,6 +100,29 @@ class TestUsageErrors:
         assert "column cap 2048" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "low, high, width",
+        [("-1e308", "1e308", "inf"), ("0", "5e-324", "0.0")],
+        ids=["width_inf", "width_0"],
+    )
+    def test_unbinnable_column_exit_1(self, tmp_path, capsys, low, high, width):
+        path = tmp_path / "range.csv"
+        rows = [f"{i},{(low, high)[i % 2]},{i // 2 % 2}" for i in range(20)]
+        path.write_text("a,x,t\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "analyze", str(path), "--treatment-col", "t",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: expand_features: column 'x' spans [{float(low)!r}, "
+            f"{float(high)!r}], so its 16 equal-width bins would have "
+            f"width {width}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_more_folds_than_rows_exit_1(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert main(["synth", str(small), "--n", "300", "--seed", "2"]) == 0

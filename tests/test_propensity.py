@@ -136,15 +136,15 @@ class TestFit:
         assert model.n_iter >= 1
 
     def test_stops_at_first_failed_line_search(self, monkeypatch, caplog):
-        real = propensity.logistic_loss_grad
+        real = propensity._loss_grad_p
         calls = []
 
         def every_step_worse(params, *args):
-            loss, grad = real(params, *args)
+            loss, grad, p = real(params, *args)
             calls.append(None)
-            return (loss if len(calls) == 1 else loss + 1.0), grad
+            return (loss if len(calls) == 1 else loss + 1.0), grad, p
 
-        monkeypatch.setattr(propensity, "logistic_loss_grad", every_step_worse)
+        monkeypatch.setattr(propensity, "_loss_grad_p", every_step_worse)
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
             model = fit(make_dataset(seed=3), max_iter=50)
         assert model.n_iter == 1
@@ -285,27 +285,40 @@ class TestAuc:
         assert base == pytest.approx(squashed, abs=1e-12)
 
 
+def indicator_blocks(design):
+    """(codes, columns) of every indicator block, decoded from the passes.
+
+    A pass gives its cell codes, then the bin levels of its grid rows
+    (``codes // kb``) and of its grid columns (``codes % kb``). Blocks
+    come back in column order.
+    """
+    blocks = []
+    for codes, cells, grid, rows, cols in design.passes:
+        blocks.append((codes, cells))
+        if rows is not None:
+            blocks.append((codes // grid[1], rows))
+        if cols is not None:
+            blocks.append((codes % grid[1], cols))
+    return sorted(blocks, key=lambda block: block[1].start)
+
+
 def dense(design):
     """The n x D float matrix a design stands for: the reference."""
     d_raw = design.raw.shape[1]
     x = np.zeros((design.n, design.d))
     x[:, :d_raw] = design.raw
     rows = np.arange(design.n)
-    start = d_raw
-    for codes, k in design.blocks:
-        x[rows, start + codes] = 1.0
-        start += k
+    for codes, cols in indicator_blocks(design):
+        x[rows, cols.start + codes] = 1.0
     return x
 
 
 def block_named(design, prefix):
     """(codes, k, names) of the block whose column names start with prefix."""
-    start = design.raw.shape[1]
-    for codes, k in design.blocks:
-        names = design.feature_names[start:start + k]
+    for codes, cols in indicator_blocks(design):
+        names = design.feature_names[cols]
         if names[0].startswith(prefix):
-            return codes, k, names
-        start += k
+            return codes, len(names), names
     raise AssertionError(f"no block named {prefix!r}")
 
 
@@ -392,7 +405,8 @@ class TestExpandFeatures:
         kept = (MAX_DESIGN_COLUMNS - mains) // (bins * bins)
         assert out.d == mains + kept * bins * bins <= MAX_DESIGN_COLUMNS
         assert len(out.feature_names) == out.d
-        assert len(out.blocks) == d + kept
+        # x0 * x1 .. x0 * x7 carry the bins of x0 .. x7; x8 and x9 are alone
+        assert len(out.passes) == 2 + kept
         pairs = list(combinations(ds.feature_names, 2))[:kept]
         for k, (a, b) in enumerate(pairs):
             start = mains + k * bins * bins
@@ -401,7 +415,7 @@ class TestExpandFeatures:
                 name.startswith(f"{a}*{b}::cell")
                 for name in out.feature_names[block]
             )
-            codes, levels = out.blocks[d + k]
+            codes, levels, _ = block_named(out, f"{a}*{b}::cell")
             assert levels == bins * bins
             assert_partitions_rows(codes, levels, n)
 
@@ -426,7 +440,26 @@ class TestExpandFeatures:
         # just under the cap the bin blocks are kept and no pair fits
         out = expand_features(ds, bins=(MAX_DESIGN_COLUMNS - 3) // 3)
         assert out.d == 3 + 3 * 681 <= MAX_DESIGN_COLUMNS
-        assert len(out.blocks) == 3
+        assert len(out.passes) == 3
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["small", "capped"])
+    def test_decoded_bins_match_raw_binning(self, capped):
+        # capped: x0's bins are the grid rows of x0 * x1, x2 .. x8's the
+        # grid columns of x0 * x2 .. x0 * x8, x9's a pass of their own
+        ds, bins = (capped_dataset(), 16) if capped else (self.make(), 4)
+        out = expand_features(ds, bins=bins)
+        decoded = {
+            out.feature_names[cols.start]: codes
+            for codes, cols in indicator_blocks(out)
+        }
+        for name, col in zip(ds.feature_names, ds.features.T):
+            lo, hi = col.min(), col.max()
+            if lo == hi or set(col) == {0.0, 1.0}:
+                assert f"{name}::bin0" not in decoded
+                continue
+            edges = lo + (hi - lo) * np.arange(1, bins) / bins
+            want = np.searchsorted(edges, col, side="right")
+            np.testing.assert_array_equal(decoded[f"{name}::bin0"], want)
 
     def test_take_subsets_rows(self):
         out = expand_features(self.make(), bins=3)
@@ -438,34 +471,79 @@ class TestExpandFeatures:
         np.testing.assert_array_equal(sub.treatment, out.treatment[rows])
 
 
+def gapped_design():
+    """A small design with a binary, a constant and a gapped column."""
+    n = 300
+    rng = np.random.default_rng(21)
+    a = rng.uniform(0, 10, n)
+    # bins=4 over [0, 4] puts every row in level 0 or 3
+    gapped = rng.choice([0.0, 0.5, 3.5, 4.0], n)
+    flag = rng.integers(0, 2, n).astype(float)
+    features = np.column_stack([a, gapped, flag, np.full(n, 3.0)])
+    z = 0.3 * (a - 5.0) - 0.8 * flag + ((a > 6) & (gapped > 2))
+    treatment = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+    ds = Dataset(features, treatment, ("a", "gapped", "flag", "const"))
+    return expand_features(ds, bins=4)
+
+
+def capped_dataset():
+    """The data of test_default_cap_keeps_leading_pairs with x1 binary."""
+    rng = np.random.default_rng(14)
+    features = rng.uniform(0, 1, (200, 10))
+    features[:, 1] = features[:, 1] < 0.4
+    treatment = rng.integers(0, 2, 200)
+    treatment[0], treatment[1] = 0, 1
+    return Dataset(features, treatment)
+
+
+def capped_design():
+    """A capped design: every kind of pass, see test_capped_pass_layout."""
+    return expand_features(capped_dataset(), bins=16)
+
+
+def dense_standardized(design):
+    x = dense(design)
+    means = x.mean(axis=0)
+    stds = x.std(axis=0)
+    return (x - means) / np.where(stds == 0.0, 1.0, stds), stds == 0.0
+
+
 class TestDesignParity:
     """The level-code operator against the materialized dense design."""
 
-    def make(self, n=300, seed=21):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(0, 10, n)
-        # bins=4 over [0, 4] puts every row in level 0 or 3
-        gapped = rng.choice([0.0, 0.5, 3.5, 4.0], n)
-        flag = rng.integers(0, 2, n).astype(float)
-        features = np.column_stack([a, gapped, flag, np.full(n, 3.0)])
-        z = 0.3 * (a - 5.0) - 0.8 * flag + ((a > 6) & (gapped > 2))
-        treatment = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(int)
-        ds = Dataset(features, treatment, ("a", "gapped", "flag", "const"))
-        return expand_features(ds, bins=4)
+    def test_capped_pass_layout(self):
+        # columns: 10 raw, then 16 bins for each of x0, x2 .. x9. The cap
+        # keeps x0 * x1 .. x0 * x8: x0 * x1 carries x0's bins as its grid
+        # rows, x0 * x2 .. x0 * x8 carry x2 .. x8's as grid columns, and
+        # x9's bins, which no kept pair contains, get a pass first
+        bins = [slice(start, start + 16) for start in range(10, 154, 16)]
+        pairs = [slice(154, 186)] + [
+            slice(start, start + 256) for start in range(186, 1978, 256)
+        ]
+        layout = [(pairs[0], (16, 2), bins[0], None)] + [
+            (cells, (16, 16), None, cols)
+            for cells, cols in zip(pairs[1:], bins[1:8])
+        ]
+        design = capped_design()
+        assert design.d == 1978
+        assert [p[1:] for p in design.passes] == [
+            (bins[8], (16,), None, None)
+        ] + layout
 
-    def dense_standardized(self, design):
-        x = dense(design)
-        means = x.mean(axis=0)
-        stds = x.std(axis=0)
-        return (x - means) / np.where(stds == 0.0, 1.0, stds), stds == 0.0
+    def test_take_keeps_pass_layout(self):
+        design = capped_design()
+        rows = np.array([3, 1, 4])
+        sub = design.take(rows)
+        assert [p[1:] for p in sub.passes] == [p[1:] for p in design.passes]
+        for got, full in zip(sub.passes, design.passes):
+            np.testing.assert_array_equal(got[0], full[0][rows])
 
-    def test_loss_grad_match_dense(self):
-        design = self.make()
-        x_std, constant = self.dense_standardized(design)
-        names = np.array(design.feature_names)
-        assert "const" in names[constant]
-        assert {"gapped::bin1", "gapped::bin2"} <= set(names[constant])
-        assert "flag" not in names[constant]
+    @pytest.mark.parametrize(
+        "make", [gapped_design, capped_design], ids=["gapped", "capped"]
+    )
+    def test_loss_grad_match_dense(self, make):
+        design = make()
+        x_std, _ = dense_standardized(design)
         op = propensity._Standardized(
             design, *propensity._column_moments(design)
         )
@@ -479,17 +557,22 @@ class TestDesignParity:
             np.testing.assert_allclose(grad_op, grad_x, rtol=0, atol=1e-12)
 
     def test_moments_match_dense(self):
-        design = self.make()
+        design = gapped_design()
         x = dense(design)
         means, stds = propensity._column_moments(design)
         # n rounding errors of one ulp each at most
         tol = design.n * np.finfo(np.float64).eps
         np.testing.assert_allclose(means, x.mean(axis=0), rtol=0, atol=tol)
         np.testing.assert_allclose(stds, x.std(axis=0), rtol=0, atol=tol)
-        np.testing.assert_array_equal(stds == 0.0, x.std(axis=0) == 0.0)
+        constant = x.std(axis=0) == 0.0
+        np.testing.assert_array_equal(stds == 0.0, constant)
+        names = np.array(design.feature_names)
+        assert "const" in names[constant]
+        assert {"gapped::bin1", "gapped::bin2"} <= set(names[constant])
+        assert "flag" not in names[constant]
 
     def test_hessian_vector_matches_central_differences(self):
-        design = self.make()
+        design = gapped_design()
         op = propensity._Standardized(
             design, *propensity._column_moments(design)
         )
@@ -508,9 +591,17 @@ class TestDesignParity:
             numeric = (g_hi - g_lo) / (2 * eps)
             np.testing.assert_allclose(hv, numeric, rtol=0, atol=1e-7)
 
-    @pytest.mark.parametrize("folds", [1, 3])
-    def test_fit_predict_matches_dense_dataset(self, folds):
-        design = self.make()
+    @pytest.mark.parametrize(
+        "make, folds",
+        [
+            pytest.param(gapped_design, 1, id="1"),
+            pytest.param(gapped_design, 3, id="3"),
+            pytest.param(capped_design, 1, id="capped-1"),
+            pytest.param(capped_design, 3, id="capped-3"),
+        ],
+    )
+    def test_fit_predict_matches_dense_dataset(self, make, folds):
+        design = make()
         reference = Dataset(dense(design), design.treatment, design.feature_names)
         config = Config(cross_fit_folds=folds, seed=5)
         got = fit_predict(design, config)
@@ -519,65 +610,12 @@ class TestDesignParity:
         assert got.folds == want.folds == folds
 
     def test_model_spans_every_design_column(self):
-        design = self.make()
+        design = gapped_design()
         model = fit(design)
         assert model.converged
         assert model.feature_names == design.feature_names
         for arr in (model.weights, model.feature_means, model.feature_stds):
             assert arr.shape == (design.d,)
-        _, constant = self.dense_standardized(design)
+        _, constant = dense_standardized(design)
         assert (model.weights[constant] == 0.0).all()
         assert (model.feature_stds[constant] == 1.0).all()
-
-
-class TestNestedDesignParity:
-    """The operator on a capped design whose pair blocks absorb bin blocks."""
-
-    def make(self):
-        # the data of test_default_cap_keeps_leading_pairs with x1 binary:
-        # x0 * x1 absorbs x0's bins and x1 has none, x0 * x2 .. x0 * x8
-        # each absorb the second feature's bins, and the cap drops x0 * x9,
-        # so x9's bin block stays on its own
-        rng = np.random.default_rng(14)
-        n, d = 200, 10
-        features = rng.uniform(0, 1, (n, d))
-        features[:, 1] = features[:, 1] < 0.4
-        treatment = rng.integers(0, 2, n)
-        treatment[0], treatment[1] = 0, 1
-        design = expand_features(Dataset(features, treatment), bins=16)
-        assert design.nesting == ((9, 0, None),) + tuple(
-            (9 + b, None, b) for b in range(1, 8)
-        )
-        assert len(design.blocks) == 9 + 8
-        return design
-
-    def test_take_keeps_nesting(self):
-        design = self.make()
-        assert design.take(np.array([3, 1, 4])).nesting == design.nesting
-
-    def test_loss_grad_match_dense(self):
-        design = self.make()
-        x = dense(design)
-        stds = x.std(axis=0)
-        x_std = (x - x.mean(axis=0)) / np.where(stds == 0.0, 1.0, stds)
-        op = propensity._Standardized(
-            design, *propensity._column_moments(design)
-        )
-        assert len(op.passes) == 9
-        labels = design.treatment.astype(np.float64)
-        rng = np.random.default_rng(25)
-        for lam in (0.0, 1e-4, 0.5):
-            params = rng.standard_normal(design.d + 1)
-            loss_op, grad_op = logistic_loss_grad(params, op, labels, lam)
-            loss_x, grad_x = logistic_loss_grad(params, x_std, labels, lam)
-            assert abs(loss_op - loss_x) <= 1e-12
-            np.testing.assert_allclose(grad_op, grad_x, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("folds", [1, 3])
-    def test_fit_predict_matches_dense_dataset(self, folds):
-        design = self.make()
-        reference = Dataset(dense(design), design.treatment, design.feature_names)
-        config = Config(cross_fit_folds=folds, seed=5)
-        got = fit_predict(design, config)
-        want = fit_predict(reference, config)
-        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-6)

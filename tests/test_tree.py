@@ -159,6 +159,24 @@ class TestBestSplit:
     def test_zero_columns_none(self):
         assert best_split(np.empty((4, 0)), np.array([0, 1, 0, 1])) is None
 
+    @pytest.mark.parametrize(
+        "lo, hi, want",
+        [
+            # the midpoint of two adjacent floats rounds up to the upper one
+            (1.0 - 2.0**-53, 1.0, 1.0 - 2.0**-53),
+            # 0.5 * (lo + hi) overflows to inf here
+            (1.5e308, 1.7e308, 1.6e308),
+            (-1.7e308, -1.5e308, -1.6e308),
+        ],
+        ids=["adjacent", "near_max", "near_min"],
+    )
+    def test_threshold_separates_the_values(self, lo, hi, want):
+        features = np.array([[lo], [lo], [hi], [hi]])
+        labels = np.array([0, 0, 1, 1])
+        j, thr, impurity = best_split(features, labels)
+        assert (j, impurity) == (0, 0.0)
+        assert lo <= thr < hi and thr == want
+
 
 class TestBuildTree:
     def test_threshold_rule_depth_one(self):
@@ -174,6 +192,14 @@ class TestBuildTree:
         assert root.left.is_leaf and root.right.is_leaf
         assert root.left.n_pos == 0
         assert root.right.n_neg == 0
+
+    def test_adjacent_values_split_once(self):
+        features = np.array([[1.0 - 2.0**-53]] * 2 + [[1.0]] * 2)
+        tree = build_tree(features, np.array([0, 0, 1, 1]), Config())
+        root = tree.root
+        assert root.left.is_leaf and root.right.is_leaf
+        assert (root.left.n, root.right.n) == (2, 2)
+        assert "leaf: pos=2 neg=0 purity=1" in render_tree_text(tree)
 
     def test_max_depth_zero_single_leaf(self):
         features = np.array([[1.0], [2.0]])
