@@ -93,7 +93,10 @@ def analyze_dataset(dataset: Dataset, config: Config = Config()) -> AnalysisResu
             config,
             feature_names=dataset.feature_names,
             group=group,
+            pruned=True,
         )
+        # the identity on a pre-pruned tree; perfbench/worker.py wraps
+        # pipeline.prune by name, so the call stays
         pruned = prune(grown, config.beta, config.gamma)
         trees[group] = pruned
         rulesets.extend(extract_rules(pruned, config.beta))

@@ -214,16 +214,29 @@ def _column_moments(design: Design):
 
     Raw columns use ``mean``/``std`` over rows. An indicator column with
     level share p has mean p and standard deviation sqrt(p (1 - p)); the
-    shares come from integer row counts.
+    shares come from integer row counts. Raises ``ValueError`` naming
+    the first raw column whose mean or standard deviation overflows.
     """
     d_raw = design.raw.shape[1]
+    # overflow is reported below, by column, instead of as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_means = design.raw.mean(axis=0)
+        raw_stds = design.raw.std(axis=0)
+    overflowed = np.flatnonzero(~np.isfinite(raw_stds))
+    if overflowed.size:
+        j = overflowed[0]
+        col = design.raw[:, j]
+        moment = "standard deviation" if np.isfinite(raw_means[j]) else "mean"
+        raise ValueError(
+            f"propensity fit: column {design.feature_names[j]!r} spans "
+            f"[{float(col.min())!r}, {float(col.max())!r}], so its "
+            f"{moment} overflows"
+        )
     means = _indicator_sums(design.passes, None, np.empty(design.d))
-    means[:d_raw] = design.raw.mean(axis=0)
+    means[:d_raw] = raw_means
     means[d_raw:] /= design.n
     share = means[d_raw:]
-    stds = np.concatenate(
-        [design.raw.std(axis=0), np.sqrt(share * (1.0 - share))]
-    )
+    stds = np.concatenate([raw_stds, np.sqrt(share * (1.0 - share))])
     return means, stds
 
 
@@ -321,6 +334,14 @@ def _newton_step(hess_vec, grad: NDArray[np.float64]) -> NDArray[np.float64]:
     return step if step.any() else grad
 
 
+def _check_finite(loss: float, grad: NDArray[np.float64], it: int) -> None:
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        raise ValueError(
+            f"propensity fit: non-finite loss {loss!r} or gradient after "
+            f"{it} iterations"
+        )
+
+
 def fit(
     dataset: Dataset | Design,
     l2_lambda: float = 1e-4,
@@ -335,7 +356,8 @@ def fit(
     (converged), after ``max_iter`` Newton steps, or at the first step
     whose halvings all leave the loss higher; the last two are reported
     on the model and logged as a warning, not raised. A non-finite loss
-    at the start is an error.
+    or gradient, or a raw column whose moments overflow, raises
+    ``ValueError``.
     """
     if l2_lambda < 0.0:
         raise ValueError("l2_lambda must be >= 0")
@@ -349,8 +371,7 @@ def fit(
     n = design.n
     params = np.zeros(design.d + 1, dtype=np.float64)
     loss, grad, p = _loss_grad_p(params, x_std, labels, l2_lambda)
-    if not np.isfinite(loss):
-        raise RuntimeError("non-finite loss at initialization")
+    _check_finite(loss, grad, 0)
     it = 0
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
@@ -370,6 +391,7 @@ def fit(
         else:
             # the next step would repeat this same failed search
             break
+        _check_finite(new_loss, new_grad, it)
         params, loss, grad, p = candidate, new_loss, new_grad, new_p
     converged = bool(np.abs(grad).max() < _GRAD_TOL)
     if not converged:

@@ -11,7 +11,10 @@ Pruning is asymmetric and top-down: a subtree collapses to a leaf when
 its violation purity exceeds ``beta`` (pure enough to state as a rule)
 or when it holds fewer than ``gamma`` times the group's total violating
 samples (too small to matter). Pruning only truncates structure; no
-node's counts change.
+node's counts change. The collapse test reads only a node's own counts,
+so ``build_tree(..., pruned=True)`` stops growth at every node pruning
+would collapse, without searching or partitioning it, and ``prune`` is
+the identity on the tree it returns.
 
 Growth sorts each feature once per tree (SLIQ; Mehta, Agrawal &
 Rissanen, EDBT 1996). Row j of a node's d x m array lists its rows
@@ -84,6 +87,11 @@ def gini(n_pos: int, n_neg: int) -> float:
     return 1.0 - (p * p + q * q)
 
 
+def _collapses(n_pos: int, n_neg: int, beta: float, min_pos: float) -> bool:
+    """The pruning rule: too pure to split further, or too few positives."""
+    return n_pos / (n_pos + n_neg) > beta or n_pos < min_pos
+
+
 def _search(
     columns: NDArray[np.float64], labels: NDArray[np.int64],
     order: NDArray[np.intp], n_pos: int,
@@ -144,7 +152,7 @@ def best_split(
     Returns ``(feature_index, threshold, weighted_impurity)`` for the
     candidate minimizing child-size-weighted Gini, or None when no
     candidate strictly improves on the unsplit node. Runs the same
-    search :func:`build_tree` runs at every node.
+    search :func:`build_tree` runs at every node it grows.
     """
     columns, labels = _columns_and_labels(features, labels)
     order = np.argsort(columns, axis=1)
@@ -157,12 +165,17 @@ def build_tree(
     config: Config,
     feature_names: tuple[str, ...] | None = None,
     group: int = 0,
+    *,
+    pruned: bool = False,
 ) -> ExplanationTree:
     """Grow a tree on one group's samples and violation labels.
 
     Growth stops at ``config.max_depth``, on pure nodes, on nodes
     smaller than two samples, and when no split strictly reduces
-    impurity. Both label values must be present at the root.
+    impurity. Both label values must be present at the root. With
+    ``pruned=True`` growth also stops at every node that
+    ``prune(tree, config.beta, config.gamma)`` would collapse, so the
+    result equals that pruned full tree at a fraction of the searches.
     """
     columns, labels = _columns_and_labels(features, labels)
     d, n = columns.shape
@@ -177,13 +190,20 @@ def build_tree(
         names = tuple(feature_names)
         if len(names) != d:
             raise ValueError(f"{len(names)} feature names for {d} columns")
+    min_pos = config.gamma * total_pos
     # side of the current split per row; a node reads only its own rows
     go_left = np.zeros(n, dtype=bool)
+
+    def stops(n_pos: int, m: int, depth: int) -> bool:
+        return (
+            depth >= config.max_depth or n_pos == 0 or n_pos == m
+            or (pruned and _collapses(n_pos, m - n_pos, config.beta, min_pos))
+        )
 
     def grow(order: NDArray[np.intp], n_pos: int, depth: int) -> TreeNode:
         m = order.shape[1]
         leaf = TreeNode(n_pos=n_pos, n_neg=m - n_pos, depth=depth)
-        if depth >= config.max_depth or n_pos == 0 or n_pos == m:
+        if stops(n_pos, m, depth):
             return leaf
         split = _search(columns, labels, order, n_pos)
         if split is None:
@@ -204,7 +224,10 @@ def build_tree(
             ),
         )
 
-    root = grow(np.argsort(columns, axis=1), total_pos, 0)
+    if stops(total_pos, n, 0):
+        root = TreeNode(n_pos=total_pos, n_neg=n - total_pos, depth=0)
+    else:
+        root = grow(np.argsort(columns, axis=1), total_pos, 0)
     return ExplanationTree(
         root=root,
         group=group,
@@ -229,7 +252,7 @@ def prune(tree: ExplanationTree, beta: float, gamma: float) -> ExplanationTree:
     def visit(node: TreeNode) -> TreeNode:
         if node.is_leaf:
             return node
-        if node.purity > beta or node.n_pos < min_pos:
+        if _collapses(node.n_pos, node.n_neg, beta, min_pos):
             return TreeNode(
                 n_pos=node.n_pos, n_neg=node.n_neg, depth=node.depth
             )

@@ -123,6 +123,24 @@ class TestUsageErrors:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_raw_column_exit_1(self, tmp_path, capsys):
+        # nothing is expanded, so only the fit sees the column's range
+        path = tmp_path / "range.csv"
+        rows = [f"{i},{(-1e308, 1e308)[i % 2]},{i // 2 % 2}" for i in range(50)]
+        path.write_text("a,x,t\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "analyze", str(path), "--treatment-col", "t",
+                "--propensity-bins", "0", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: propensity fit: column 'x' spans [-1e+308, 1e+308], so "
+            "its standard deviation overflows\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_more_folds_than_rows_exit_1(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert main(["synth", str(small), "--n", "300", "--seed", "2"]) == 0

@@ -157,6 +157,46 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(make_dataset(), l2_lambda=-1.0)
 
+    @pytest.mark.parametrize(
+        "column, moment",
+        [
+            # the squares of the deviations overflow
+            ([1e308, -1e308] * 25, "standard deviation"),
+            ([1e200, -1e200] * 25, "standard deviation"),
+            # the sum overflows
+            ([1e308] * 49 + [0.0], "mean"),
+        ],
+        ids=["pm_1e308", "pm_1e200", "sum"],
+    )
+    def test_overflowing_column_rejected(self, column, moment):
+        ds = make_dataset(n=50, d=1, seed=2)
+        features = np.column_stack([ds.features[:, 0], column])
+        wide = Dataset(features, ds.treatment, ("u", "big"))
+        lo, hi = min(column), max(column)
+        with pytest.raises(ValueError) as info:
+            fit(wide)
+        assert str(info.value) == (
+            f"propensity fit: column 'big' spans [{lo!r}, {hi!r}], so its "
+            f"{moment} overflows"
+        )
+
+    @pytest.mark.parametrize("bad_call", [1, 2])
+    def test_non_finite_gradient_raises(self, monkeypatch, bad_call):
+        real = propensity._loss_grad_p
+        calls = []
+
+        def nan_gradient(params, *args):
+            loss, grad, p = real(params, *args)
+            calls.append(None)
+            if len(calls) == bad_call:
+                grad = np.full_like(grad, np.nan)
+            return loss, grad, p
+
+        monkeypatch.setattr(propensity, "_loss_grad_p", nan_gradient)
+        with pytest.raises(ValueError, match="non-finite loss .* or gradient"):
+            fit(make_dataset(seed=3))
+        assert len(calls) == bad_call
+
 
 class TestPredict:
     def test_zero_model_gives_half(self):

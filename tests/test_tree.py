@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import Config, render_tree_text
+from positivity import (
+    Config,
+    SynthSpec,
+    analyze_dataset,
+    generate,
+    render_tree_text,
+)
+from positivity import tree as tree_module
+from positivity.explain import extract_rules
+from positivity.synth import DEFAULT_CARVE
 from positivity.tree import (
     ExplanationTree,
     TreeNode,
@@ -50,6 +59,65 @@ def brute_force_best(features, labels):
     if best is None or best[0] >= parent - 1e-12:
         return None
     return best
+
+
+@pytest.fixture
+def argsort_calls(monkeypatch):
+    """The arguments of every ``np.argsort`` call the test makes."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+def collapses(node, beta, min_pos):
+    """The pruning rule, restated apart from the module's helper."""
+    return node.n_pos / node.n > beta or node.n_pos < min_pos
+
+
+def reference_prune(node, beta, min_pos):
+    """Prune a subtree by the restated rule, parents first."""
+    if node.is_leaf or collapses(node, beta, min_pos):
+        return TreeNode(n_pos=node.n_pos, n_neg=node.n_neg, depth=node.depth)
+    return TreeNode(
+        n_pos=node.n_pos,
+        n_neg=node.n_neg,
+        depth=node.depth,
+        feature_index=node.feature_index,
+        threshold=node.threshold,
+        left=reference_prune(node.left, beta, min_pos),
+        right=reference_prune(node.right, beta, min_pos),
+    )
+
+
+def continuous_data(seed, n=300):
+    """A box of violations, 5% of labels flipped, three normal columns."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, 3))
+    labels = (
+        (features[:, 0] > 0.3) & (features[:, 1] <= 0.5)
+    ).astype(np.int64) ^ (rng.random(n) < 0.05).astype(np.int64)
+    return features, labels
+
+
+def tie_heavy_data(seed, n=200):
+    """Integer and 0/1 columns: long runs of equal values, and counts
+    whose purity often equals a round threshold exactly."""
+    rng = np.random.default_rng(seed)
+    features = np.column_stack([
+        rng.integers(0, 4, n),
+        rng.integers(0, 2, n),
+        rng.integers(-2, 3, n),
+    ]).astype(float)
+    labels = (
+        (features[:, 0] >= 2) & (features[:, 2] <= 0)
+    ).astype(np.int64) ^ (rng.random(n) < 0.1).astype(np.int64)
+    return features, labels
 
 
 def reference_tree(features, labels, config):
@@ -275,21 +343,13 @@ class TestBuildTree:
             assert got.root == want.root
             assert render_tree_text(got) == render_tree_text(want)
 
-    def test_one_sort_per_tree(self, monkeypatch):
-        calls = []
-        argsort = np.argsort
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", counted)
+    def test_one_sort_per_tree(self, argsort_calls):
         rng = np.random.default_rng(5)
         features = rng.standard_normal((300, 3))
         labels = (features[:, 0] * features[:, 1] > 0).astype(np.int64)
         tree = build_tree(features, labels, Config(max_depth=6))
         assert len(collect_nodes(tree.root)) > 3
-        assert len(calls) == 1
+        assert len(argsort_calls) == 1
 
     def test_zero_columns_single_leaf(self):
         tree = build_tree(np.empty((3, 0)), np.array([1, 0, 1]), Config())
@@ -370,26 +430,8 @@ class TestPrune:
         assert pruned.root.n_neg == tree.root.n_neg
 
     def test_order_independence_matches_bfs(self):
-        # Any parents-before-children order yields the same result; a
-        # breadth-first re-implementation is the cross-check.
-        def bfs_prune(node, beta, min_pos):
-            if (
-                node.purity > beta or node.n_pos < min_pos
-                or node.is_leaf
-            ):
-                return TreeNode(
-                    n_pos=node.n_pos, n_neg=node.n_neg, depth=node.depth
-                )
-            return TreeNode(
-                n_pos=node.n_pos,
-                n_neg=node.n_neg,
-                depth=node.depth,
-                feature_index=node.feature_index,
-                threshold=node.threshold,
-                left=bfs_prune(node.left, beta, min_pos),
-                right=bfs_prune(node.right, beta, min_pos),
-            )
-
+        # Any parents-before-children order yields the same result; an
+        # independent re-implementation is the cross-check.
         def shape(node):
             if node.is_leaf:
                 return (node.n_pos, node.n_neg)
@@ -403,7 +445,7 @@ class TestPrune:
         for seed in range(10):
             tree = self.grow(seed=seed)
             pruned = prune(tree, beta=0.9, gamma=0.01)
-            want = bfs_prune(
+            want = reference_prune(
                 tree.root, 0.9, 0.01 * tree.total_violations
             )
             assert shape(pruned.root) == shape(want)
@@ -414,6 +456,129 @@ class TestPrune:
             prune(tree, beta=0.0, gamma=0.01)
         with pytest.raises(ValueError):
             prune(tree, beta=0.9, gamma=1.0)
+
+
+class TestPrunedGrowth:
+    """``build_tree(..., pruned=True)`` equals ``prune`` of the full tree
+    and never searches a node that pruning collapses."""
+
+    @pytest.mark.parametrize(
+        "make", [continuous_data, tie_heavy_data], ids=["continuous", "ties"]
+    )
+    def test_matches_pruned_full_tree(self, make):
+        for seed in range(6):
+            features, labels = make(seed)
+            total = int(labels.sum())
+            for max_depth in range(11):
+                full = build_tree(
+                    features, labels, Config(max_depth=max_depth)
+                )
+                for beta, gamma in itertools.product(
+                    (0.5, 0.7, 0.9, 1.0), (0.0, 0.01, 0.1, 0.5)
+                ):
+                    config = Config(
+                        max_depth=max_depth, beta=beta, gamma=gamma
+                    )
+                    got = build_tree(features, labels, config, pruned=True)
+                    want = prune(full, beta, gamma)
+                    assert got == want
+                    assert got.root == reference_prune(
+                        full.root, beta, gamma * total
+                    )
+                    assert render_tree_text(got) == render_tree_text(want)
+                    assert extract_rules(got, beta) == extract_rules(
+                        want, beta
+                    )
+
+    @pytest.mark.parametrize(
+        "make", [continuous_data, tie_heavy_data], ids=["continuous", "ties"]
+    )
+    @pytest.mark.parametrize(
+        "beta, gamma", [(0.5, 0.01), (0.5, 0.1), (0.9, 0.01)]
+    )
+    def test_searches_only_nodes_pruning_keeps(
+        self, monkeypatch, make, beta, gamma
+    ):
+        searched = []
+        search = tree_module._search
+
+        def recorded(columns, labels, order, n_pos):
+            searched.append((n_pos, order.shape[1]))
+            return search(columns, labels, order, n_pos)
+
+        def collapsing(min_pos):
+            return [
+                (n_pos, m) for n_pos, m in searched
+                if collapses(leaf(n_pos, m - n_pos), beta, min_pos)
+            ]
+
+        monkeypatch.setattr(tree_module, "_search", recorded)
+        config = Config(beta=beta, gamma=gamma)
+        skipped = 0
+        for seed in range(6):
+            features, labels = make(seed)
+            min_pos = gamma * labels.sum()
+            searched.clear()
+            full = build_tree(features, labels, config)
+            skipped += len(collapsing(min_pos))
+            searched.clear()
+            build_tree(features, labels, config, pruned=True)
+            assert collapsing(min_pos) == []
+            # one search, in pre-order, per node of the pruned tree that
+            # no other stopping rule ends
+            kept = reference_prune(full.root, beta, min_pos)
+            assert searched == [
+                (node.n_pos, node.n)
+                for node in collect_nodes(kept)
+                if node.depth < config.max_depth
+                and 0 < node.n_pos < node.n
+                and not collapses(node, beta, min_pos)
+            ]
+        assert skipped > 0
+
+    @pytest.mark.parametrize(
+        "beta, sorts", [(0.85, 0), (0.9, 1)], ids=["collapses", "at_beta"]
+    )
+    def test_collapsed_root_sorts_nothing(self, argsort_calls, beta, sorts):
+        rng = np.random.default_rng(6)
+        features = rng.standard_normal((100, 3))
+        # root purity 0.9 exactly: collapses only for beta below it
+        labels = (np.arange(100) % 10 != 0).astype(np.int64)
+        tree = build_tree(features, labels, Config(beta=beta), pruned=True)
+        assert len(argsort_calls) == sorts
+        assert tree.root.is_leaf == (sorts == 0)
+        assert tree.root == prune(
+            build_tree(features, labels, Config()), beta, 0.01
+        ).root
+
+    def test_analyze_dataset_trees_equal_pruned_full_trees(self):
+        spec = SynthSpec(
+            n=2000,
+            noise_covariates=2,
+            logit_intercept=-4.0,
+            logit_weights=(0.1, -0.8, 0.0, 0.0),
+            carve=DEFAULT_CARVE,
+        )
+        dataset = generate(spec, 0)
+        config = Config(propensity_bins=0)
+        result = analyze_dataset(dataset, config)
+        report = result.report
+        for group, labels in (
+            (0, report.sample_labels0), (1, report.sample_labels1)
+        ):
+            full = build_tree(
+                dataset.features[dataset.treatment == group],
+                labels,
+                config,
+                feature_names=dataset.feature_names,
+                group=group,
+            )
+            assert not full.root.is_leaf
+            want = prune(full, config.beta, config.gamma)
+            assert result.trees[group] == want
+            assert result.trees[group].root == reference_prune(
+                full.root, config.beta, config.gamma * full.total_violations
+            )
 
 
 def test_exhaustive_tiny_instances_match_brute_force():
