@@ -215,22 +215,28 @@ def _column_moments(design: Design):
     Raw columns use ``mean``/``std`` over rows. An indicator column with
     level share p has mean p and standard deviation sqrt(p (1 - p)); the
     shares come from integer row counts. Raises ``ValueError`` naming
-    the first raw column whose mean or standard deviation overflows.
+    the first raw column whose mean or standard deviation overflows, or
+    whose standard deviation underflows to 0 although its values differ.
     """
     d_raw = design.raw.shape[1]
     # overflow is reported below, by column, instead of as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         raw_means = design.raw.mean(axis=0)
         raw_stds = design.raw.std(axis=0)
-    overflowed = np.flatnonzero(~np.isfinite(raw_stds))
-    if overflowed.size:
-        j = overflowed[0]
+    for j in np.flatnonzero((raw_stds == 0.0) | ~np.isfinite(raw_stds)):
         col = design.raw[:, j]
-        moment = "standard deviation" if np.isfinite(raw_means[j]) else "mean"
+        lo, hi = float(col.min()), float(col.max())
+        if raw_stds[j] == 0.0:
+            if lo == hi:
+                continue  # a constant column, fit with weight 0
+            problem = "standard deviation underflows"
+        elif np.isfinite(raw_means[j]):
+            problem = "standard deviation overflows"
+        else:
+            problem = "mean overflows"
         raise ValueError(
             f"propensity fit: column {design.feature_names[j]!r} spans "
-            f"[{float(col.min())!r}, {float(col.max())!r}], so its "
-            f"{moment} overflows"
+            f"[{lo!r}, {hi!r}], so its {problem}"
         )
     means = _indicator_sums(design.passes, None, np.empty(design.d))
     means[:d_raw] = raw_means

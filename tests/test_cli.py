@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ class TestUsageErrors:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_underflowing_raw_column_exit_1(self, tmp_path, capsys):
+        # with expansion on, expand_features already rejects the column
+        path = tmp_path / "tiny.csv"
+        rows = [f"{(0.0, 5e-324)[i % 2]!r},{i % 2}" for i in range(50)]
+        path.write_text("a,t\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning first
+            code = main(
+                [
+                    "analyze", str(path), "--treatment-col", "t",
+                    "--propensity-bins", "0", "--out", str(tmp_path / "o"),
+                ]
+            )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: propensity fit: column 'a' spans [0.0, 5e-324], so its "
+            "standard deviation underflows\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_more_folds_than_rows_exit_1(self, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert main(["synth", str(small), "--n", "300", "--seed", "2"]) == 0
@@ -192,8 +213,13 @@ class TestDataErrors:
              "line 3: field larger than field limit (131072)"),
             (b"a,t\n\xe9,0\n1,1\n",
              "line 2 is not valid UTF-8 (invalid continuation byte)"),
+            # finite, so numpy's reader would parse it
+            (b"a,t\n1,0\n" + b"0" * 140_000 + b"1,1\n",
+             "line 3: field larger than field limit (131072)"),
+            (b"a,t\r\n1,0\r\n\r\n2,1\r\n", "row 2 has 0 cells, expected 2"),
         ],
-        ids=["oversized_cell", "not_utf8"],
+        ids=["oversized_cell", "not_utf8", "finite_oversized_cell",
+             "blank_line"],
     )
     def test_unreadable_csv_exit_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.csv"

@@ -1,12 +1,14 @@
 """Dataset construction, validation diagnostics, and CSV ingestion."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_load_csv
-from positivity import Config, Dataset, load_csv, write_csv
+from positivity import Config, Dataset, SynthSpec, generate, load_csv, write_csv
 from positivity.data import MAX_CATEGORICAL_CARDINALITY, validate
 
 
@@ -110,6 +112,18 @@ class TestValidate:
 
 _CARD = MAX_CATEGORICAL_CARDINALITY + 1
 
+
+def _csv_nul_error():
+    """The csv module's error for a NUL byte, or None if it reads one."""
+    try:
+        list(csv.reader(["\0"]))
+    except csv.Error as exc:
+        return str(exc)
+    return None  # Python 3.11 and later
+
+
+_CSV_NUL_ERROR = _csv_nul_error()
+
 # (case id, CSV text, full message with {path} standing for the file path)
 LOAD_CSV_ERRORS = [
     ("empty_file", "", "{path}: file is empty, header row required"),
@@ -124,6 +138,9 @@ LOAD_CSV_ERRORS = [
      "{path}: missing value at row 1, column 'b'"),
     ("bad_treatment_value", "a,t\n1,0\n2,yes\n",
      "{path}: treatment value 'yes' at row 2 in column 't' is not one of "
+     "0/1/true/false"),
+    ("numeric_treatment_value", "a,t\n1,0\n2,1\n3,0.5\n",
+     "{path}: treatment value '0.5' at row 3 in column 't' is not one of "
      "0/1/true/false"),
     ("empty_control_group", "a,t\n1,1\n2,true\n",
      "{path}: control group (treatment == 0) is empty"),
@@ -156,7 +173,77 @@ LOAD_CSV_ERRORS = [
      "{path}: non-finite numeric value at row 2, column 'a'"),
     ("not_utf8", b"a,t\n1,0\n\xe9,1\n",
      "{path}: line 3 is not valid UTF-8 (invalid continuation byte)"),
+    # Files numpy's reader would accept where the csv module rejects them
+    # or reads them differently.
+    ("blank_line", "a,t\n1,0\n\n2,1\n",
+     "{path}: row 2 has 0 cells, expected 2"),
+    ("blank_line_at_end", "a,t\n1,0\n2,1\n\n",
+     "{path}: row 3 has 0 cells, expected 2"),
+    ("blank_crlf_line", "a,t\r\n1,0\r\n\r\n2,1\r\n",
+     "{path}: row 2 has 0 cells, expected 2"),
+    # in the last column, where a comment cuts off no delimiter
+    ("hash_in_numeric_cell", "t,a\n0,2\n1,1 # c\n",
+     "{path}: unparseable numeric cell '1 # c' at row 2, column 'a'"),
+    ("finite_oversized_cell", "a,t\n1,0\n" + "0" * 140_000 + "1,1\n",
+     "{path}: line 3: field larger than field limit (131072)"),
+    ("lone_cr_in_header", "a\r,t\n1,0\n2,1\n",
+     "{path}: treatment column 't' not found (columns: a)"),
+    # the rest of the header reads as a first data row of floats
+    ("lone_cr_in_header_before_floats", "t,a\r0,1\n0,5,6\n1,7,8\n",
+     "{path}: row 2 has 3 cells, expected 2"),
+    ("lone_cr_row_break", "a,b,t\n1,2\r0\n3,4,1\n",
+     "{path}: row 1 has 2 cells, expected 3"),
+    ("lone_cr_blank_row", "a,t\n1,0\r\r\n2,1\n",
+     "{path}: row 2 has 0 cells, expected 2"),
+    ("nul_byte", "a,t\n1,0\n2\0,1\n",
+     f"{{path}}: line 3: {_CSV_NUL_ERROR}" if _CSV_NUL_ERROR else
+     "{path}: unparseable numeric cell '2\\x00' at row 2, column 'a'"),
 ]
+
+# CSV texts that load, and whether numpy's reader parses them
+LOAD_CSV_PASSTHROUGH = [
+    pytest.param("a,b,t\r\n1.5,-2e-3,0\r\n3,4,1\r\n", True, id="crlf"),
+    pytest.param("a,t\n1,0\n2,1", True, id="no_final_newline"),
+    pytest.param("a,b,t\n 1.5 ,\t2,0 \n3\x1c, 4\xa0, 1\n", True,
+                 id="padded_cells"),
+    pytest.param("a,t\n-0,0\n-0.0,1\n0,-0\n", True, id="negative_zero"),
+    pytest.param("a,t\n1,0.0\n2,1e0\n", True, id="float_treatment"),
+    pytest.param('a,b,t\n"1.5",2,0\n"3",4,"1"\n', False,
+                 id="quoted_numbers"),
+    pytest.param('"a",t\n1,0\n2,1\n', False, id="quoted_header"),
+    pytest.param('"a\nb",t\n1,0\n2,1\n', False, id="multiline_header"),
+    pytest.param("a,t\n1_000,0\n2,1\n", False, id="underscore_digits"),
+    pytest.param("a,t\n1,true\n2,0\n", False, id="bool_treatment"),
+    pytest.param("a,c,t\n1,EU,0\n2,US,1\n", False, id="categorical"),
+    pytest.param(
+        "a\0,t\n1,0\n2,1\n", False, id="nul_in_header",
+        marks=pytest.mark.skipif(
+            _CSV_NUL_ERROR is not None,
+            reason="the csv module rejects a NUL byte before Python 3.11",
+        ),
+    ),
+]
+
+
+@pytest.fixture
+def csv_reader_calls(monkeypatch):
+    """Count csv.reader calls; none means numpy parsed the file."""
+    calls = []
+    real = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    return calls
+
+
+def assert_same_dataset(got, want):
+    assert got.feature_names == want.feature_names
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.treatment.tobytes() == want.treatment.tobytes()
 
 
 class TestLoadCsv:
@@ -247,6 +334,22 @@ class TestLoadCsv:
             load_csv(path, "t")
         assert str(info.value) == message.replace("{path}", path)
 
+    @pytest.mark.parametrize("text,by_numpy", LOAD_CSV_PASSTHROUGH)
+    def test_passthrough(self, tmp_path, csv_reader_calls, text, by_numpy):
+        path = write_file(tmp_path, text)
+        got = load_csv(path, "t")
+        assert (csv_reader_calls == []) == by_numpy
+        assert_same_dataset(got, reference_load_csv(path, "t"))
+
+    def test_synth_file_parsed_by_numpy(self, tmp_path, csv_reader_calls):
+        # A file the fast path silently declined would load the same
+        # Dataset, only slower.
+        path = str(tmp_path / "synth.csv")
+        write_csv(generate(SynthSpec(n=500, noise_covariates=2), 0), path)
+        got = load_csv(path, "treatment")
+        assert csv_reader_calls == []
+        assert_same_dataset(got, reference_load_csv(path, "treatment"))
+
     def test_utf8_bom_before_header(self, tmp_path):
         path = write_file(tmp_path, "\ufefft,a\n0,1\n1,2\n")
         ds = load_csv(path, "t")
@@ -269,11 +372,15 @@ class TestLoadCsv:
 # Raw CSV field text. "7\x1c" parses only after str.strip(), which drops
 # the separator that float() keeps.
 _FINITE_CELLS = ("1", " 2.5 ", "1_000", "-0", "0.1", "-3e-5", "7\x1c", "3\xa0")
+# Spellings numpy's reader parses too, so whole files of them reach it.
+_NUMERIC_CELLS = ("0", "1.5", "-2e-3", " 3 ", "-0", "5\u2028")
 _NON_FINITE_CELLS = ("inf", "1e400")
 _LEVEL_CELLS = (" EU", "EU", "US ", '"EU, north"', '"a,b"')
 _MISSING_CELLS = ("", " ", "\t")
 _TREATMENT_CELLS = ("0", "1", "true", "FALSE", "0.0", " 1 ")
+_NUMERIC_TREATMENT_CELLS = ("0", "1", "0.0", " 1 ")
 _FEATURE_POOLS = (
+    _NUMERIC_CELLS,
     _FINITE_CELLS,
     _FINITE_CELLS,
     _LEVEL_CELLS,
@@ -289,10 +396,15 @@ def csv_texts(draw):
     """Small CSV texts mixing clean and faulty columns, rows and cells."""
     n_features = draw(st.integers(1, 3))
     t_col = draw(st.integers(0, n_features))
-    pools = [draw(st.sampled_from(_FEATURE_POOLS)) for _ in range(n_features)]
-    pools.insert(t_col, draw(st.sampled_from(
-        [_TREATMENT_CELLS] * 3 + [_TREATMENT_CELLS + ("yes",)]
-    )))
+    if draw(st.integers(0, 2)) == 0:
+        pools = [_NUMERIC_CELLS] * n_features
+        pools.insert(t_col, _NUMERIC_TREATMENT_CELLS)
+    else:
+        pools = [draw(st.sampled_from(_FEATURE_POOLS))
+                 for _ in range(n_features)]
+        pools.insert(t_col, draw(st.sampled_from(
+            [_TREATMENT_CELLS] * 3 + [_TREATMENT_CELLS + ("yes",)]
+        )))
     header = [f"f{j}" for j in range(n_features)]
     header.insert(t_col, "t")
     lines = [",".join(header)]
@@ -301,7 +413,10 @@ def csv_texts(draw):
         ragged = draw(st.sampled_from([0] * 30 + [-1, 1]))
         row = row[:ragged] if ragged < 0 else row + ["1"] * ragged
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline
 
 
 def _load_or_message(load, path):
@@ -321,10 +436,7 @@ def test_load_csv_matches_reference_reader(tmp_path_factory, text):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert got.feature_names == want.feature_names
-    assert got.features.shape == want.features.shape
-    assert got.features.tobytes() == want.features.tobytes()
-    assert got.treatment.tobytes() == want.treatment.tobytes()
+    assert_same_dataset(got, want)
 
 
 class TestWriteCsv:

@@ -180,6 +180,19 @@ class TestFit:
             f"{moment} overflows"
         )
 
+    def test_underflowing_column_rejected(self):
+        # the squared deviations (1e-400) underflow to 0, so the std reads
+        # 0 although the column separates the groups perfectly
+        ds = make_dataset(n=50, d=1, seed=2)
+        tiny = np.where(ds.treatment == 1, 1e-200, -1e-200)
+        features = np.column_stack([ds.features[:, 0], tiny])
+        with pytest.raises(ValueError) as info:
+            fit(Dataset(features, ds.treatment, ("u", "tiny")))
+        assert str(info.value) == (
+            "propensity fit: column 'tiny' spans [-1e-200, 1e-200], so its "
+            "standard deviation underflows"
+        )
+
     @pytest.mark.parametrize("bad_call", [1, 2])
     def test_non_finite_gradient_raises(self, monkeypatch, bad_call):
         real = propensity._loss_grad_p
