@@ -33,6 +33,10 @@ from numpy.typing import NDArray
 
 MAX_CATEGORICAL_CARDINALITY = 20
 
+# rows per write in write_csv: kept small, so the float and string
+# objects of one block do not raise the peak RSS of the process
+_WRITE_BLOCK_ROWS = 128
+
 _TEST_KINDS = ("z", "fisher")
 
 
@@ -380,17 +384,30 @@ def write_csv(
 ) -> None:
     """Write a Dataset as a CSV file that :func:`load_csv` accepts.
 
-    The csv module writes floats with ``repr``, so the round trip is
-    lossless.
+    The header row is written by the csv module, so a name holding a
+    comma, quote or line break is quoted. Each data row holds the
+    features as the shortest ``repr`` that round-trips the float, then
+    the treatment as ``0`` or ``1``, and ends with CRLF. The body is
+    plain unquoted numbers, so :func:`load_csv` reads it back with
+    numpy, bit for bit.
+
+    Raises ``ValueError``, before the file is opened, with the first
+    :func:`validate` diagnostic of a dataset ``load_csv`` would reject,
+    or when ``treatment_column`` is also a feature name.
     """
+    diags = validate(dataset)
+    if diags:
+        raise ValueError(f"cannot write {path}: {diags[0]}")
     if treatment_column in dataset.feature_names:
         raise ValueError(
             f"treatment column name {treatment_column!r} collides with a feature"
         )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [treatment_column])
-        writer.writerows(
-            row.tolist() + [t]
-            for row, t in zip(dataset.features, dataset.treatment.tolist())
+        csv.writer(fh).writerow(
+            list(dataset.feature_names) + [treatment_column]
         )
+        for start in range(0, dataset.n, _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            cells = [map(repr, col) for col in dataset.features[block].T.tolist()]
+            cells.append(map(str, dataset.treatment[block].tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

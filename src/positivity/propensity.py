@@ -79,12 +79,18 @@ class PropensityModel:
 
 @dataclass(frozen=True)
 class PropensityResult:
-    """Scores for every row plus quality metrics of the scoring model."""
+    """Scores for every row plus quality metrics of the scoring model.
+
+    ``n_iter`` and ``converged`` hold one entry per fit, in fold order:
+    one for an in-sample fit, ``folds`` for a cross-fit.
+    """
 
     scores: NDArray[np.float64]
     auc: float
     log_loss: float
     folds: int
+    n_iter: tuple[int, ...]
+    converged: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         arr = np.array(self.scores, dtype=np.float64, copy=True)
@@ -497,21 +503,24 @@ def fit_predict(
     if k > n:
         raise ValueError(f"cross_fit_folds={k} exceeds the {n} samples")
     if k == 1:
-        model = fit(design)
-        scores = predict(model, design)
+        models = [fit(design)]
+        scores = predict(models[0], design)
     else:
         rng = np.random.default_rng(config.seed)
         folds = np.array_split(rng.permutation(n), k)
         scores = np.empty(n, dtype=np.float64)
+        models = []
         for fold in folds:
             train = np.delete(np.arange(n), fold)
-            model = fit(design.take(train))
-            scores[fold] = predict(model, design.take(fold))
+            models.append(fit(design.take(train)))
+            scores[fold] = predict(models[-1], design.take(fold))
     return PropensityResult(
         scores=scores,
         auc=auc(scores, design.treatment),
         log_loss=log_loss(scores, design.treatment.astype(np.float64)),
         folds=k,
+        n_iter=tuple(m.n_iter for m in models),
+        converged=tuple(m.converged for m in models),
     )
 
 

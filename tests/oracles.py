@@ -5,9 +5,10 @@ own code paths: the normal CDF comes from mpmath at 50 digits, Fisher
 probabilities from exact integer arithmetic, and the FDR adjustment
 from the textbook step-up loop. ``reference_load_csv`` is the earlier
 row-at-a-time CSV reader, kept verbatim apart from its names; it only
-borrows the package's ``Dataset`` to return its result. The logistic
-terms are the earlier masked sigmoid and the ``np.logaddexp`` softplus
-that the propensity loss used.
+borrows the package's ``Dataset`` to return its result, and
+``reference_write_csv`` is the earlier csv-module writer, kept the same
+way. The logistic terms are the earlier masked sigmoid and the
+``np.logaddexp`` softplus that the propensity loss used.
 """
 
 import csv
@@ -207,6 +208,27 @@ def reference_load_csv(path: str, treatment_column: str) -> Dataset:
     if not columns:
         raise ValueError(f"{path}: no feature columns besides the treatment")
     return Dataset(np.column_stack(columns), treatment, tuple(names))
+
+
+def reference_write_csv(
+    dataset: Dataset, path: str, treatment_column: str = "treatment"
+) -> None:
+    """Write a Dataset as a CSV file that :func:`load_csv` accepts.
+
+    The csv module writes floats with ``repr``, so the round trip is
+    lossless.
+    """
+    if treatment_column in dataset.feature_names:
+        raise ValueError(
+            f"treatment column name {treatment_column!r} collides with a feature"
+        )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.feature_names) + [treatment_column])
+        writer.writerows(
+            row.tolist() + [t]
+            for row, t in zip(dataset.features, dataset.treatment.tolist())
+        )
 
 
 def reference_sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:

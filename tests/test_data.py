@@ -1,15 +1,20 @@
 """Dataset construction, validation diagnostics, and CSV ingestion."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_load_csv
+from oracles import reference_load_csv, reference_write_csv
 from positivity import Config, Dataset, SynthSpec, generate, load_csv, write_csv
-from positivity.data import MAX_CATEGORICAL_CARDINALITY, validate
+from positivity.data import (
+    _WRITE_BLOCK_ROWS,
+    MAX_CATEGORICAL_CARDINALITY,
+    validate,
+)
 
 
 def write_file(tmp_path, text, name="data.csv"):
@@ -471,6 +476,34 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="collides"):
             write_csv(ds, str(tmp_path / "x.csv"), "t")
 
+    @pytest.mark.parametrize(
+        "features, treatment, diag",
+        [
+            pytest.param(
+                [[0.5], [np.nan]], [0, 1],
+                "non-finite feature value at row 1, column 'a'", id="nan",
+            ),
+            pytest.param(
+                [[0.5], [1.5]], [0, 2],
+                "treatment value 2 at row 1 is not 0 or 1", id="treatment-2",
+            ),
+            pytest.param(
+                [[0.5], [1.5]], [1, 1],
+                "control group (treatment == 0) is empty", id="one-group",
+            ),
+        ],
+    )
+    def test_refuses_dataset_load_csv_rejects(
+        self, tmp_path, features, treatment, diag
+    ):
+        ds = Dataset(np.array(features), np.array(treatment), ("a",))
+        assert validate(ds)[0] == diag
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError) as info:
+            write_csv(ds, str(path), "t")
+        assert str(info.value) == f"cannot write {path}: {diag}"
+        assert not path.exists()
+
 
 @given(
     values=st.lists(
@@ -485,3 +518,54 @@ def test_round_trip_property(tmp_path_factory, values):
     write_csv(ds, path, "t")
     back = load_csv(path, "t")
     np.testing.assert_array_equal(back.features, ds.features)
+
+
+_BLOCK_ROW_COUNTS = (
+    1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1,
+    2 * _WRITE_BLOCK_ROWS + 3,
+)
+_EDGE_FLOATS = (
+    -0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+
+
+@st.composite
+def writable_datasets(draw):
+    """Datasets sized around the writer's block, with awkward floats and
+    names that need csv quoting or are not ASCII."""
+    n = draw(st.sampled_from(_BLOCK_ROW_COUNTS))
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(
+        st.sampled_from(_EDGE_FLOATS)
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=8,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = np.array(pool)[rng.integers(0, len(pool), (n, d))]
+    treatment = rng.integers(0, 2, n)
+    piece = st.text(alphabet=[",", '"', " ", "a", "é", "数"], max_size=5)
+    # no leading or trailing space, which load_csv strips from names
+    names = tuple(f"{j}{draw(piece)}." for j in range(d))
+    return Dataset(features, treatment, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=writable_datasets())
+def test_write_csv_matches_reference_writer(tmp_path_factory, ds):
+    tmp = tmp_path_factory.mktemp("write")
+    path, want = tmp / "got.csv", tmp / "want.csv"
+    diags = validate(ds)
+    if diags:  # one row, or a block that drew a single group
+        with pytest.raises(ValueError, match=re.escape(diags[0])):
+            write_csv(ds, str(path), "t")
+        assert not path.exists()
+        return
+    write_csv(ds, str(path), "t")
+    reference_write_csv(ds, str(want), "t")
+    assert path.read_bytes() == want.read_bytes()
+    back = load_csv(str(path), "t")
+    assert back.feature_names == ds.feature_names
+    np.testing.assert_array_equal(
+        back.features.view(np.int64), ds.features.view(np.int64)
+    )
+    np.testing.assert_array_equal(back.treatment, ds.treatment)

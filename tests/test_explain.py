@@ -45,7 +45,8 @@ def make_report(bins=10, suspected=(), tests=(), labels0=None, labels1=None):
 
 def make_propensity(n=4):
     return PropensityResult(
-        scores=np.full(n, 0.5), auc=0.625, log_loss=0.693147, folds=1
+        scores=np.full(n, 0.5), auc=0.625, log_loss=0.693147, folds=1,
+        n_iter=(4,), converged=(True,),
     )
 
 

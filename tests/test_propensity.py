@@ -290,6 +290,25 @@ class TestFitPredict:
         other = fit_predict(ds, Config(cross_fit_folds=5, seed=4))
         assert not np.array_equal(result.scores, other.scores)
 
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_per_fold_fit_outcomes_match_direct_fits(self, folds):
+        ds = make_dataset(n=120, seed=12, weights=np.array([1.0, 0.0, -0.5]))
+        result = fit_predict(ds, Config(cross_fit_folds=folds, seed=6))
+        if folds == 1:
+            models = [fit(ds)]
+        else:
+            rng = np.random.default_rng(6)
+            splits = np.array_split(rng.permutation(ds.n), folds)
+            models = [
+                fit(Dataset(np.delete(ds.features, fold, axis=0),
+                            np.delete(ds.treatment, fold)))
+                for fold in splits
+            ]
+        assert result.n_iter == tuple(m.n_iter for m in models)
+        assert result.converged == tuple(m.converged for m in models)
+        assert len(result.n_iter) == folds
+        assert all(result.converged)
+
     def test_cross_fit_more_folds_than_rows_rejected(self):
         ds = make_dataset(n=20, seed=11)
         with pytest.raises(ValueError, match="folds"):
