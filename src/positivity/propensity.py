@@ -550,7 +550,7 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
         raise ValueError(f"bins must be >= 2, got {bins}")
     feats = dataset.features
     raw_names = dataset.feature_names
-    names = list(raw_names)
+    n_cols = len(raw_names)
     # per non-constant feature: (index, level codes, level count)
     coded: list[tuple[int, NDArray[np.int64], int]] = []
     # feature index -> (codes, columns) of its bins, until a pair takes them
@@ -574,13 +574,17 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
             )
         idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
         coded.append((j, idx, bins))
-        unabsorbed[j] = (idx, slice(len(names), len(names) + bins))
-        names.extend(f"{raw_names[j]}::bin{b}" for b in range(bins))
-    if len(names) > MAX_DESIGN_COLUMNS:
+        unabsorbed[j] = (idx, slice(n_cols, n_cols + bins))
+        n_cols += bins
+    if n_cols > MAX_DESIGN_COLUMNS:
         raise ValueError(
-            f"expand_features: {len(names)} columns before any feature pair "
+            f"expand_features: {n_cols} columns before any feature pair "
             f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
         )
+    names = list(raw_names)
+    names.extend(
+        f"{raw_names[j]}::bin{b}" for j in unabsorbed for b in range(bins)
+    )
     pairs = []
     for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
         if len(names) + ka * kb > MAX_DESIGN_COLUMNS:

@@ -17,12 +17,14 @@ would collapse, without searching or partitioning it, and ``prune`` is
 the identity on the tree it returns.
 
 Growth sorts each feature once per tree (SLIQ; Mehta, Agrawal &
-Rissanen, EDBT 1996). Row j of a node's d x m array lists its rows
-sorted by feature j; one shared mask splits every row and keeps each
-sorted. The label count left of a cut does not depend on the order
-within a run of equal values, so scores equal a per-node sort's. Counts
-stay exact integers, and ``1 - (p*p + q*q)`` is symmetric under class
-swap, which keeps tie-breaking deterministic.
+Rissanen, EDBT 1996) into one d x n array of row ids. A node is a
+segment of it whose row j lists the node's rows by feature j; a split
+rewrites each row of the segment stably as its left rows, then its
+right rows (SPRINT; Shafer, Agrawal & Mehta, VLDB 1996), so the
+children are sorted segments too. The label count left of a cut does
+not depend on the order within a run of equal values, so scores equal
+a per-node sort's. Counts stay exact integers, and ``1 - (p*p + q*q)``
+is symmetric under class swap, which keeps tie-breaking deterministic.
 """
 
 from __future__ import annotations
@@ -200,36 +202,34 @@ def build_tree(
             or (pruned and _collapses(n_pos, m - n_pos, config.beta, min_pos))
         )
 
-    def grow(order: NDArray[np.intp], n_pos: int, depth: int) -> TreeNode:
-        m = order.shape[1]
-        leaf = TreeNode(n_pos=n_pos, n_neg=m - n_pos, depth=depth)
-        if stops(n_pos, m, depth):
+    def grow(lo: int, hi: int, n_pos: int, depth: int) -> TreeNode:
+        leaf = TreeNode(n_pos=n_pos, n_neg=hi - lo - n_pos, depth=depth)
+        if stops(n_pos, hi - lo, depth):
             return leaf
-        split = _search(columns, labels, order, n_pos)
+        node = order[:, lo:hi]
+        split = _search(columns, labels, node, n_pos)
         if split is None:
             return leaf
         j, thr, _ = split
-        rows = order[j]
+        rows = node[j]
         go_left[rows] = columns[j, rows] <= thr
-        left = go_left[order]
-        left_order = order[left].reshape(d, -1)
-        left_pos = int(labels[left_order[0]].sum())
+        k = int(np.count_nonzero(go_left[rows]))
+        for row in node:
+            side = go_left[row]
+            row[:k], row[k:] = row[side], row[~side]
+        left_pos = int(labels[node[0, :k]].sum())
         return replace(
             leaf,
             feature_index=j,
             threshold=thr,
-            left=grow(left_order, left_pos, depth + 1),
-            right=grow(
-                order[~left].reshape(d, -1), n_pos - left_pos, depth + 1
-            ),
+            left=grow(lo, lo + k, left_pos, depth + 1),
+            right=grow(lo + k, hi, n_pos - left_pos, depth + 1),
         )
 
-    if stops(total_pos, n, 0):
-        root = TreeNode(n_pos=total_pos, n_neg=n - total_pos, depth=0)
-    else:
-        root = grow(np.argsort(columns, axis=1), total_pos, 0)
+    # sorted only when the root is searched
+    order = None if stops(total_pos, n, 0) else np.argsort(columns, axis=1)
     return ExplanationTree(
-        root=root,
+        root=grow(0, n, total_pos, 0),
         group=group,
         feature_names=names,
         total_violations=total_pos,

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -513,6 +515,36 @@ class TestExpandFeatures:
         out = expand_features(ds, bins=(MAX_DESIGN_COLUMNS - 3) // 3)
         assert out.d == 3 + 3 * 681 <= MAX_DESIGN_COLUMNS
         assert len(out.passes) == 3
+
+    def test_cap_checked_before_naming_columns(self):
+        rng = np.random.default_rng(15)
+        treatment = rng.integers(0, 2, 50)
+        treatment[0], treatment[1] = 0, 1
+        ds = Dataset(rng.uniform(0, 1, (50, 3)), treatment)
+        message = (
+            "expand_features: 1200003 columns before any feature pair "
+            "exceed the column cap 2048; use fewer bins"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                expand_features(ds, bins=400_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # naming 1.2M columns took about 81 MiB
+        assert peak < 2**20
+
+    def test_bin_width_checked_before_cap(self):
+        rng = np.random.default_rng(15)
+        features = rng.uniform(0, 1, (50, 3))
+        features[:2, 2] = -1.7e308, 1.7e308
+        treatment = rng.integers(0, 2, 50)
+        treatment[0], treatment[1] = 0, 1
+        ds = Dataset(features, treatment, ("a", "b", "huge"))
+        # the first two columns alone pass the cap
+        with pytest.raises(ValueError, match="column 'huge' spans .* inf"):
+            expand_features(ds, bins=400_000)
 
     @pytest.mark.parametrize("capped", [False, True], ids=["small", "capped"])
     def test_decoded_bins_match_raw_binning(self, capped):

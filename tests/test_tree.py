@@ -1,10 +1,11 @@
 """Greedy CART growth, split search, and asymmetric top-down pruning."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from positivity import (
@@ -355,6 +356,22 @@ class TestBuildTree:
         tree = build_tree(np.empty((3, 0)), np.array([1, 0, 1]), Config())
         assert tree.root == leaf(2, 1)
 
+    def test_peak_memory_within_four_times_feature_bytes(self):
+        rng = np.random.default_rng(3)
+        features = rng.random((60_000, 10))
+        labels = np.zeros(60_000, dtype=np.int64)
+        labels[rng.choice(60_000, 20, replace=False)] = 1
+        tracemalloc.start()
+        try:
+            tree = build_tree(features, labels, Config(), pruned=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # most splits peel a thin slice off a large node, so nodes of
+        # 12k to 60k rows are partitioned at every depth down to 10
+        assert max(node.depth for node in collect_nodes(tree.root)) == 10
+        assert peak <= 4 * features.nbytes
+
 
 class TestPrune:
     def grow(self, seed=0, n=300):
@@ -620,3 +637,47 @@ def test_best_split_matches_direct_enumeration(data):
     else:
         assert got is not None
         assert got[2] == pytest.approx(want[0], abs=1e-9)
+
+
+@st.composite
+def tied_trees(draw):
+    """Small integer-valued data with long runs of ties, the settings to
+    grow it with, and the data's row count and column count."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d))
+    labels = np.array(
+        draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    assume(0 < labels.sum() < n)
+    config = Config(
+        max_depth=draw(st.integers(0, 7)),
+        beta=draw(st.sampled_from((0.6, 0.9, 1.0))),
+        gamma=draw(st.sampled_from((0.0, 0.05))),
+    )
+    features = np.array(cells, dtype=np.float64).reshape(n, d)
+    return features, labels, config, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tied_trees(), data=st.data())
+def test_tree_invariant_to_row_order(case, data):
+    features, labels, config, pruned = case
+    perm = np.array(data.draw(st.permutations(range(labels.size))))
+    want = build_tree(features, labels, config, pruned=pruned)
+    got = build_tree(features[perm], labels[perm], config, pruned=pruned)
+    assert got.root == want.root
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tied_trees(), data=st.data())
+def test_tree_invariant_to_an_appended_column_copy(case, data):
+    # every split of the copy ties with its original's, and ties break
+    # toward the lower feature index
+    features, labels, config, pruned = case
+    j = data.draw(st.integers(0, features.shape[1] - 1))
+    wider = np.column_stack([features, features[:, j]])
+    want = build_tree(features, labels, config, pruned=pruned)
+    got = build_tree(wider, labels, config, pruned=pruned)
+    assert got.root == want.root
