@@ -10,10 +10,23 @@ columns get standard deviation 1 and a weight of exactly 0. The fit is
 truncated Newton-CG (Lin, Weng & Keerthi, "Trust region Newton method
 for large-scale logistic regression", JMLR 2008): each Newton step
 solves H s = g by conjugate gradients on Hessian-vector products, then
-is halved until the loss does not increase. Iteration stops when the
-gradient max-norm drops below a fixed 1e-8, after ``max_iter`` steps,
-or at the first step where no halving keeps the loss from rising; the
-model records whether it converged.
+is halved until the loss does not increase. Each solve is only as
+accurate as the step needs (Eisenstat & Walker, "Choosing the forcing
+terms in an inexact Newton method", SIAM J. Sci. Comput. 1996, choice
+1): CG stops once the residual g - H s has norm at most eta_k |g|.
+eta_0 = 0.5; after a step scaled by t,
+
+    eta_k = | |g_k| - |g_{k-1} - t H s_{k-1}| | / |g_{k-1}|,
+
+how far the gradient the linear model predicted missed the gradient
+reached, taken from the last CG residual with no extra product. It is
+kept at least eta_{k-1}^phi, phi = (1 + sqrt 5) / 2, when that exceeds
+0.1, and at most 0.5. CG also stops once the residual max-norm is at most
+half the gradient tolerance. The convergence test itself is unchanged:
+iteration stops when the gradient max-norm drops below a fixed 1e-8,
+after ``max_iter`` steps, or at the first step where no halving keeps
+the loss from rising; the model records whether it converged and how
+many CG iterations each step took.
 
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
@@ -52,6 +65,10 @@ logger = logging.getLogger(__name__)
 _SCORE_EPS = 1e-15
 _MAX_HALVINGS = 30
 _GRAD_TOL = 1e-8
+# Eisenstat-Walker choice 1: the first and largest forcing term, and the
+# exponent of the safeguard that keeps it from dropping too fast
+_FORCING_MAX = 0.5
+_FORCING_EXPONENT = (1.0 + 5.0 ** 0.5) / 2.0
 
 # column cap of the design built by expand_features
 MAX_DESIGN_COLUMNS = 2048
@@ -69,6 +86,8 @@ class PropensityModel:
     l2_lambda: float
     n_iter: int
     converged: bool
+    # CG iterations (Hessian-vector products) of each Newton step
+    cg_iters: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for name in ("weights", "feature_means", "feature_stds"):
@@ -81,8 +100,9 @@ class PropensityModel:
 class PropensityResult:
     """Scores for every row plus quality metrics of the scoring model.
 
-    ``n_iter`` and ``converged`` hold one entry per fit, in fold order:
-    one for an in-sample fit, ``folds`` for a cross-fit.
+    ``n_iter``, ``converged`` and ``cg_iters`` (the total CG iterations
+    of the fit) hold one entry per fit, in fold order: one for an
+    in-sample fit, ``folds`` for a cross-fit.
     """
 
     scores: NDArray[np.float64]
@@ -91,6 +111,7 @@ class PropensityResult:
     folds: int
     n_iter: tuple[int, ...]
     converged: tuple[bool, ...]
+    cg_iters: tuple[int, ...]
 
     def __post_init__(self) -> None:
         arr = np.array(self.scores, dtype=np.float64, copy=True)
@@ -317,24 +338,34 @@ def _hess_vec(
     return out
 
 
-def _newton_step(hess_vec, grad: NDArray[np.float64]) -> NDArray[np.float64]:
+def _newton_step(
+    hess_vec, grad: NDArray[np.float64], forcing: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
     """Solve H s = grad by truncated conjugate gradients.
 
-    CG stops once the residual norm is at most min(0.5, sqrt(|g|)) |g|,
-    after len(grad) iterations, or on non-positive curvature (possible
-    only without the penalty); if that comes before any progress, the
-    gradient itself is the step.
+    CG stops once the residual r = grad - H s has norm at most
+    ``forcing`` |grad|, or max-norm at most half the gradient tolerance
+    of :func:`fit` (a full step then leaves a gradient the convergence
+    test can pass, so solving further only spends products), after
+    len(grad) iterations, or on non-positive curvature (possible only
+    without the penalty); if that comes before any progress, the
+    gradient itself is the step, with the gradient as its residual
+    (H grad is 0 up to rounding there). Returns the step, its residual
+    and the number of Hessian-vector products spent.
     """
     step = np.zeros_like(grad)
     resid = grad.copy()
     direction = resid.copy()
     rr = resid @ resid
-    gnorm = np.sqrt(rr)
-    tol = min(0.5, np.sqrt(gnorm)) * gnorm
-    for _ in range(grad.size):
-        if np.sqrt(rr) <= tol:
-            break
+    tol = forcing * np.sqrt(rr)
+    iters = 0
+    while (
+        iters < grad.size
+        and np.sqrt(rr) > tol
+        and np.abs(resid).max() > 0.5 * _GRAD_TOL
+    ):
         hd = hess_vec(direction)
+        iters += 1
         dhd = direction @ hd
         if dhd <= 0.0:
             break
@@ -343,7 +374,29 @@ def _newton_step(hess_vec, grad: NDArray[np.float64]) -> NDArray[np.float64]:
         resid -= alpha * hd
         rr, rr_old = resid @ resid, rr
         direction = resid + (rr / rr_old) * direction
-    return step if step.any() else grad
+    if not step.any():
+        return grad, grad, iters
+    return step, resid, iters
+
+
+def _next_forcing(
+    forcing: float,
+    grad: NDArray[np.float64],
+    predicted: NDArray[np.float64],
+    new_grad: NDArray[np.float64],
+) -> float:
+    """Eisenstat-Walker choice 1 for the next Newton step's CG solve.
+
+    ``predicted`` is the gradient the linear model of the accepted step
+    promised, ``new_grad`` the gradient reached: the further apart
+    their norms, the less a tighter solve would have bought.
+    """
+    eta = abs(np.linalg.norm(new_grad) - np.linalg.norm(predicted))
+    eta /= np.linalg.norm(grad)
+    floor = forcing ** _FORCING_EXPONENT
+    if floor > 0.1:
+        eta = max(eta, floor)
+    return min(eta, _FORCING_MAX)
 
 
 def _check_finite(loss: float, grad: NDArray[np.float64], it: int) -> None:
@@ -364,12 +417,15 @@ def fit(
     A :class:`~positivity.data.Dataset` is fit as a design with no
     indicator columns. Each Newton step is a truncated conjugate-gradient
     solve from Hessian-vector products on the row passes, so no n x D
-    matrix is formed. Stops when the gradient max-norm drops below 1e-8
-    (converged), after ``max_iter`` Newton steps, or at the first step
-    whose halvings all leave the loss higher; the last two are reported
-    on the model and logged as a warning, not raised. A non-finite loss
-    or gradient, or a raw column whose moments overflow, raises
-    ``ValueError``.
+    matrix is formed. The solve stops at the Eisenstat-Walker forcing
+    term (see the module docstring) or once the residual max-norm is at
+    most half the gradient tolerance; ``cg_iters`` records its
+    iterations per step. Stops when the gradient max-norm drops below
+    1e-8 (converged), after ``max_iter`` Newton steps, or at the first
+    step whose halvings all leave the loss higher; the last two are
+    reported on the model and logged as a warning naming the stop, not
+    raised. A non-finite loss or gradient, or a raw column whose
+    moments overflow, raises ``ValueError``.
     """
     if l2_lambda < 0.0:
         raise ValueError("l2_lambda must be >= 0")
@@ -385,11 +441,17 @@ def fit(
     loss, grad, p = _loss_grad_p(params, x_std, labels, l2_lambda)
     _check_finite(loss, grad, 0)
     it = 0
+    forcing = _FORCING_MAX
+    cg_iters = []
+    stop = f"after max_iter={max_iter} Newton steps"
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
-        step = _newton_step(
-            partial(_hess_vec, x_std, p * (1.0 - p) / n, l2_lambda), grad
+        step, resid, iters = _newton_step(
+            partial(_hess_vec, x_std, p * (1.0 - p) / n, l2_lambda),
+            grad,
+            forcing,
         )
+        cg_iters.append(iters)
         # halve the step until the loss stops increasing
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -402,18 +464,27 @@ def fit(
             scale *= 0.5
         else:
             # the next step would repeat this same failed search
+            stop = (
+                f"at Newton step {it}, whose line search found no halving "
+                "that lowers the loss"
+            )
             break
         _check_finite(new_loss, new_grad, it)
+        # the linear model's gradient at params - scale * step
+        predicted = (1.0 - scale) * grad + scale * resid
+        forcing = _next_forcing(forcing, grad, predicted, new_grad)
         params, loss, grad, p = candidate, new_loss, new_grad, new_p
     converged = bool(np.abs(grad).max() < _GRAD_TOL)
     if not converged:
         logger.warning(
-            "propensity fit stopped unconverged after %d iterations "
-            "(max_iter=%d) with gradient max-norm %.3e",
-            it, max_iter, float(np.abs(grad).max()),
+            "propensity fit stopped unconverged %s, with gradient max-norm "
+            "%.3e", stop, float(np.abs(grad).max()),
         )
     else:
-        logger.debug("propensity fit converged in %d iterations", it)
+        logger.debug(
+            "propensity fit converged in %d iterations, %d CG iterations",
+            it, sum(cg_iters),
+        )
     weights = params[:-1].copy()
     weights[constant] = 0.0
     return PropensityModel(
@@ -425,6 +496,7 @@ def fit(
         l2_lambda=l2_lambda,
         n_iter=it,
         converged=converged,
+        cg_iters=tuple(cg_iters),
     )
 
 
@@ -521,6 +593,7 @@ def fit_predict(
         folds=k,
         n_iter=tuple(m.n_iter for m in models),
         converged=tuple(m.converged for m in models),
+        cg_iters=tuple(sum(m.cg_iters) for m in models),
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import Config, Dataset
+from positivity import Config, Dataset, SynthSpec, generate
 from positivity.propensity import (
     MAX_DESIGN_COLUMNS,
     auc,
@@ -23,6 +23,7 @@ from positivity.propensity import (
     predict,
 )
 from positivity import propensity
+from positivity.synth import DEFAULT_CARVE
 
 from oracles import reference_sigmoid, reference_softplus
 
@@ -132,10 +133,17 @@ class TestFit:
         assert np.abs(model.weights).max() < 1e-3
         assert model.intercept == pytest.approx(target, abs=1e-3)
 
-    def test_reports_convergence(self):
-        model = fit(make_dataset(seed=3))
+    def test_reports_convergence(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="positivity.propensity"):
+            model = fit(make_dataset(seed=3))
         assert model.converged
         assert model.n_iter >= 1
+        assert len(model.cg_iters) == model.n_iter
+        assert all(iters >= 1 for iters in model.cg_iters)
+        assert (
+            f"converged in {model.n_iter} iterations, "
+            f"{sum(model.cg_iters)} CG iterations" in caplog.text
+        )
 
     def test_stops_at_first_failed_line_search(self, monkeypatch, caplog):
         real = propensity._loss_grad_p
@@ -150,10 +158,28 @@ class TestFit:
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
             model = fit(make_dataset(seed=3), max_iter=50)
         assert model.n_iter == 1
+        assert len(model.cg_iters) == 1
         assert not model.converged
         # the initial loss plus one search of 30 halvings
         assert len(calls) == 31
         assert "propensity fit stopped unconverged" in caplog.text
+        assert (
+            "at Newton step 1, whose line search found no halving"
+            in caplog.text
+        )
+        assert "max_iter" not in caplog.text
+
+    def test_stops_at_max_iter(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
+            model = fit(make_dataset(n=400, seed=3, weights=np.ones(3)),
+                        max_iter=1)
+        assert model.n_iter == 1
+        assert not model.converged
+        assert (
+            "propensity fit stopped unconverged after max_iter=1 Newton steps"
+            in caplog.text
+        )
+        assert "line search" not in caplog.text
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -226,6 +252,7 @@ class TestPredict:
             l2_lambda=model.l2_lambda,
             n_iter=0,
             converged=True,
+            cg_iters=(),
         )
         np.testing.assert_allclose(predict(zeroed, ds), 0.5)
 
@@ -241,6 +268,7 @@ class TestPredict:
             l2_lambda=model.l2_lambda,
             n_iter=0,
             converged=True,
+            cg_iters=(),
         )
         np.testing.assert_allclose(predict(biased, ds), 0.8, atol=1e-12)
 
@@ -308,6 +336,7 @@ class TestFitPredict:
             ]
         assert result.n_iter == tuple(m.n_iter for m in models)
         assert result.converged == tuple(m.converged for m in models)
+        assert result.cg_iters == tuple(sum(m.cg_iters) for m in models)
         assert len(result.n_iter) == folds
         assert all(result.converged)
 
@@ -723,3 +752,71 @@ class TestDesignParity:
         _, constant = dense_standardized(design)
         assert (model.weights[constant] == 0.0).all()
         assert (model.feature_stds[constant] == 1.0).all()
+
+
+def assert_gradient_below_tolerance(model, design):
+    """A fit reporting convergence must meet the test it claims to pass.
+
+    Recomputes the gradient at the returned parameters on the design
+    standardized as the fit standardizes it.
+    """
+    assert model.converged
+    op = propensity._Standardized(design, *propensity._column_moments(design))
+    params = np.append(model.weights, model.intercept)
+    labels = design.treatment.astype(np.float64)
+    _, grad = logistic_loss_grad(params, op, labels, model.l2_lambda)
+    assert np.abs(grad).max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def ten_covariate_design():
+    """A 10-covariate design at the column cap: 1962 columns."""
+    spec = SynthSpec(n=4000, noise_covariates=8)
+    return expand_features(generate(spec, seed=1), 16)
+
+
+class TestInexactNewton:
+    """The forcing term spends fewer products; convergence stays real."""
+
+    def test_hessian_products_counted_and_cut(
+        self, ten_covariate_design, monkeypatch
+    ):
+        real = propensity._hess_vec
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(propensity, "_hess_vec", counting)
+        model = fit(ten_covariate_design)
+        assert model.converged
+        assert len(calls) == sum(model.cg_iters)
+        # the forcing term min(0.5, sqrt(|g|)) |g| spent 928 products here
+        # in 10 Newton steps
+        assert len(calls) <= 0.75 * 928
+
+    def test_capped_fit_convergence_is_real(self, ten_covariate_design):
+        assert_gradient_below_tolerance(
+            fit(ten_covariate_design), ten_covariate_design
+        )
+
+    def test_every_cross_fit_fold_convergence_is_real(self, monkeypatch):
+        # the planted_xfit benchmark recipe: 290 columns, 5 folds
+        spec = SynthSpec(n=20000, carve=DEFAULT_CARVE, carve_mode="reassign")
+        design = expand_features(generate(spec, seed=1), 16)
+        assert design.d == 290
+        real = propensity.fit
+        fits = []
+
+        def recording(train, *args, **kwargs):
+            model = real(train, *args, **kwargs)
+            fits.append((train, model))
+            return model
+
+        monkeypatch.setattr(propensity, "fit", recording)
+        result = fit_predict(design, Config(cross_fit_folds=5, seed=0))
+        assert len(fits) == 5
+        assert all(result.converged)
+        for train, model in fits:
+            assert_gradient_below_tolerance(model, train)
