@@ -76,20 +76,14 @@ def extract_rules(tree: ExplanationTree, beta: float) -> list[RuleSet]:
     total = tree.total_violations
 
     def simplify(path: list[tuple[int, str, float]]) -> tuple[Rule, ...]:
+        # a dict keeps each key at its first position
         tightest: dict[tuple[int, str], float] = {}
-        order: list[tuple[int, str]] = []
         for j, op, cutoff in path:
-            key = (j, op)
-            if key not in tightest:
-                order.append(key)
-                tightest[key] = cutoff
-            elif op == "<=":
-                tightest[key] = min(tightest[key], cutoff)
-            else:
-                tightest[key] = max(tightest[key], cutoff)
+            pick = min if op == "<=" else max
+            tightest[(j, op)] = pick(tightest.get((j, op), cutoff), cutoff)
         return tuple(
-            Rule(tree.feature_names[j], op, tightest[(j, op)])
-            for j, op in order
+            Rule(tree.feature_names[j], op, cutoff)
+            for (j, op), cutoff in tightest.items()
         )
 
     def visit(node: TreeNode, path: list[tuple[int, str, float]]) -> None:
@@ -185,6 +179,14 @@ def render_text(
     return "\n".join(lines) + "\n"
 
 
+def _ruleset_doc(ruleset: RuleSet) -> dict:
+    """A rule set's fields in report.json order, without its group."""
+    doc = asdict(ruleset)
+    del doc["group"]
+    doc["rules"] = list(doc["rules"])
+    return doc
+
+
 def render_report(
     config: Config,
     report: ViolationReport,
@@ -193,8 +195,11 @@ def render_report(
 ) -> dict:
     """JSON-serializable analysis document with a stable key order.
 
-    Round-trips losslessly through ``json.dumps``/``json.loads``: every
-    value is a plain Python scalar, list, or dict.
+    Bins, rule sets and rules list the fields of
+    :class:`~positivity.violation.BinTest`, :class:`RuleSet` (less its
+    group) and :class:`Rule` in declaration order. Round-trips
+    losslessly through ``json.dumps``/``json.loads``: every value is a
+    plain Python scalar, list, or dict.
     """
     if any(
         not math.isfinite(v)
@@ -211,36 +216,12 @@ def render_report(
             "auc": float(propensity.auc),
             "log_loss": float(propensity.log_loss),
         },
-        "bins": [
-            {
-                "index": t.index,
-                "k0": t.k0,
-                "k1": t.k1,
-                "p_raw": t.p_raw,
-                "p_adj": t.p_adj,
-                "significant": t.significant,
-            }
-            for t in report.tests
-        ],
+        "bins": [asdict(t) for t in report.tests],
         "groups": [
             {
                 "group": group,
                 "rulesets": [
-                    {
-                        "rules": [
-                            {
-                                "feature": r.feature,
-                                "op": r.op,
-                                "cutoff": r.cutoff,
-                            }
-                            for r in rs.rules
-                        ],
-                        "n_pos": rs.n_pos,
-                        "n_neg": rs.n_neg,
-                        "coverage": rs.coverage,
-                    }
-                    for rs in rulesets
-                    if rs.group == group
+                    _ruleset_doc(rs) for rs in rulesets if rs.group == group
                 ],
             }
             for group in (0, 1)

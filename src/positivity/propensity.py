@@ -424,14 +424,22 @@ def fit(
     1e-8 (converged), after ``max_iter`` Newton steps, or at the first
     step whose halvings all leave the loss higher; the last two are
     reported on the model and logged as a warning naming the stop, not
-    raised. A non-finite loss or gradient, or a raw column whose
-    moments overflow, raises ``ValueError``.
+    raised. Training rows of only one treatment group, a non-finite
+    loss or gradient, or a raw column whose moments overflow, raise
+    ``ValueError``.
     """
     if l2_lambda < 0.0:
         raise ValueError("l2_lambda must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     design = _as_design(dataset)
+    n_treated = int(design.treatment.sum())
+    if n_treated in (0, design.n):
+        missing = "treated (T=1)" if n_treated == 0 else "control (T=0)"
+        raise ValueError(
+            f"propensity fit: no {missing} row among the {design.n} "
+            "training rows"
+        )
     means, stds = _column_moments(design)
     constant = stds == 0.0
     x_std = _Standardized(design, means, stds)
@@ -520,10 +528,11 @@ def predict(
 
 
 def auc(scores, labels) -> float:
-    """Area under the ROC curve by the rank (Mann-Whitney) formula.
+    """Area under the ROC curve by the Mann-Whitney count.
 
-    Tied scores contribute 1/2 via average ranks, so the value is
-    invariant under any strictly increasing transform of the scores.
+    Each (control, treated) pair counts 1 when the treated score is the
+    higher and 1/2 when the two are tied, so the value is invariant
+    under any strictly increasing transform of the scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -534,19 +543,11 @@ def auc(scores, labels) -> float:
     n0 = scores.shape[0] - n1
     if n0 == 0 or n1 == 0:
         raise ValueError("auc needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    n = scores.shape[0]
-    run_start = np.nonzero(
-        np.r_[True, sorted_scores[1:] != sorted_scores[:-1]]
-    )[0]
-    run_end = np.r_[run_start[1:], n]
-    # average 1-based rank within each tie run
-    run_rank = 0.5 * (run_start + 1 + run_end)
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(run_rank, run_end - run_start)
-    rank_sum = float(ranks[pos].sum())
-    return (rank_sum - n1 * (n1 + 1) / 2.0) / (n0 * n1)
+    control = np.sort(scores[~pos])
+    treated = scores[pos]
+    below = int(np.searchsorted(control, treated, side="left").sum())
+    not_above = int(np.searchsorted(control, treated, side="right").sum())
+    return (below + 0.5 * (not_above - below)) / (n0 * n1)
 
 
 def log_loss(scores, labels) -> float:

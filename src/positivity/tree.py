@@ -23,8 +23,15 @@ rewrites each row of the segment stably as its left rows, then its
 right rows (SPRINT; Shafer, Agrawal & Mehta, VLDB 1996), so the
 children are sorted segments too. The label count left of a cut does
 not depend on the order within a run of equal values, so scores equal
-a per-node sort's. Counts stay exact integers, and ``1 - (p*p + q*q)``
-is symmetric under class swap, which keeps tie-breaking deterministic.
+a per-node sort's.
+
+A cut of a node of m rows with lp of its nl left rows and rp of its nr
+right rows positive has weighted Gini (2/m) times the score
+``(lp*(nl-lp)*nr + rp*(nr-rp)*nl) / (nl*nr)``; the unsplit node scores
+``n_pos*(m-n_pos)/m``. Every operand is an integer held exactly in a
+float64 while m**3/16 <= 2**53, i.e. for nodes of up to 2**19 = 524,288
+rows, so one correctly rounded division gives exactly tied cuts equal
+scores, and the tie rule above holds exactly.
 """
 
 from __future__ import annotations
@@ -101,28 +108,25 @@ def _search(
     """Best split of a node; ``order[j]`` lists its rows by feature j.
 
     ``columns`` is the d x n feature matrix; ``n_pos`` counts the node's
-    positive labels.
+    positive labels. Returns ``(feature_index, threshold, score)`` with
+    the exact-ratio score of the module docstring, or None when no cut
+    scores strictly below the unsplit node; ``np.argmin`` and the strict
+    comparison across features keep the lowest threshold, then the
+    lowest feature, among equal scores.
     """
-    nf = float(order.shape[1])
-    bound = gini(n_pos, order.shape[1] - n_pos)
+    m = order.shape[1]
+    bound = n_pos * (m - n_pos) / m
     best = None
     for j, rows in enumerate(order):
         values = columns[j, rows]
         cut = np.nonzero(values[:-1] != values[1:])[0]
         if cut.size == 0:
             continue
-        cpos = np.cumsum(labels[rows])
-        nl = (cut + 1).astype(np.float64)
-        nr = nf - nl
-        lp = cpos[cut].astype(np.float64)
-        rp = float(n_pos) - lp
-        pl = lp / nl
-        ql = (nl - lp) / nl
-        gl = 1.0 - (pl * pl + ql * ql)
-        pr = rp / nr
-        qr = (nr - rp) / nr
-        gr = 1.0 - (pr * pr + qr * qr)
-        score = (nl * gl + nr * gr) / nf
+        lp = np.cumsum(labels[rows], dtype=np.float64)[cut]
+        nl = cut + 1.0
+        nr = m - nl
+        rp = n_pos - lp
+        score = (lp * (nl - lp) * nr + rp * (nr - rp) * nl) / (nl * nr)
         k = int(np.argmin(score))
         if score[k] < bound:
             lo, hi = float(values[cut[k]]), float(values[cut[k] + 1])
@@ -154,11 +158,19 @@ def best_split(
     Returns ``(feature_index, threshold, weighted_impurity)`` for the
     candidate minimizing child-size-weighted Gini, or None when no
     candidate strictly improves on the unsplit node. Runs the same
-    search :func:`build_tree` runs at every node it grows.
+    search :func:`build_tree` runs at every node it grows, so exactly
+    tied candidates resolve to the lowest feature index, then the lowest
+    threshold.
     """
     columns, labels = _columns_and_labels(features, labels)
+    if labels.size == 0:
+        raise ValueError("node must hold at least one sample")
     order = np.argsort(columns, axis=1)
-    return _search(columns, labels, order, int(labels.sum()))
+    best = _search(columns, labels, order, int(labels.sum()))
+    if best is None:
+        return None
+    j, threshold, score = best
+    return j, threshold, 2.0 * score / labels.size
 
 
 def build_tree(

@@ -177,6 +177,30 @@ class TestUsageErrors:
         assert err == "error: cross_fit_folds=400 exceeds the 300 samples\n"
         assert not (tmp_path / "o").exists()
 
+    def test_cross_fit_fold_without_treated_rows_exit_1(
+        self, tmp_path, capsys
+    ):
+        # the fold holding the only treated row trains on control rows alone
+        path = tmp_path / "one_treated.csv"
+        rng = np.random.default_rng(0)
+        rows = [
+            f"{a!r},{b!r},{int(i == 0)}"
+            for i, (a, b) in enumerate(rng.random((2000, 2)).tolist())
+        ]
+        path.write_text("a,b,t\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "analyze", str(path), "--treatment-col", "t",
+                "--folds", "5", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: propensity fit: no treated (T=1) row among the 1600 "
+            "training rows\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_exit_1(self, carved_csv, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")

@@ -1,0 +1,94 @@
+"""Metamorphic relations: transforms of a dataset that change no row's
+overlap must leave the analysis's verdict (and, where stated, its
+significant bins and the rows its rule sets cover) unchanged.
+
+Every relation runs the default in-sample ``Config``. Cross-fitting
+assigns folds by row position, so under a row shuffle only in-sample
+scoring promises the same bins and rules; with ``--folds`` above 1 only
+rates over many datasets (verdict share, recall) would agree.
+"""
+
+import numpy as np
+import pytest
+
+from positivity import Config, Dataset, SynthSpec, analyze_dataset, generate
+from positivity import ruleset_mask
+
+GROUPS = (0, 1)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(0, 1), (0, 2), (2, 1), (2, 2)],
+    ids=lambda p: f"noise{p[0]}-seed{p[1]}",
+)
+def base(request):
+    noise, seed = request.param
+    dataset = generate(SynthSpec(n=4000, noise_covariates=noise), seed)
+    return dataset, analyze_dataset(dataset, Config())
+
+
+def analyze(dataset, features=None, treatment=None, names=None):
+    return analyze_dataset(
+        Dataset(
+            dataset.features if features is None else features,
+            dataset.treatment if treatment is None else treatment,
+            dataset.feature_names if names is None else names,
+        ),
+        Config(),
+    )
+
+
+def covered(result, group):
+    """Rows of the whole dataset inside any of the group's rule sets."""
+    data = result.dataset
+    mask = np.zeros(data.n, dtype=bool)
+    for ruleset in result.rulesets:
+        if ruleset.group == group:
+            mask |= ruleset_mask(ruleset, data.features, data.feature_names)
+    return mask
+
+
+def test_label_swap_mirrors_bins_and_exchanges_rules(base):
+    dataset, want = base
+    got = analyze(dataset, treatment=1 - dataset.treatment)
+    assert got.violation_detected == want.violation_detected
+    # a swapped score is 1 - p, so bin i lands in bin bins - 1 - i
+    assert np.array_equal(got.report.bin_mask, want.report.bin_mask[::-1])
+    for group in GROUPS:
+        assert np.array_equal(covered(got, 1 - group), covered(want, group))
+
+
+def test_affine_rescale_keeps_bins_and_covered_rows(base):
+    dataset, want = base
+    got = analyze(dataset, features=37.0 * dataset.features + 1000.0)
+    assert got.violation_detected == want.violation_detected
+    assert np.array_equal(got.report.bin_mask, want.report.bin_mask)
+    for group in GROUPS:
+        assert np.array_equal(covered(got, group), covered(want, group))
+
+
+def test_row_shuffle_permutes_covered_rows(base):
+    # in-sample only: cross-fit folds follow row positions
+    dataset, want = base
+    perm = np.random.default_rng(0).permutation(dataset.n)
+    got = analyze(
+        dataset, features=dataset.features[perm],
+        treatment=dataset.treatment[perm],
+    )
+    assert got.violation_detected == want.violation_detected
+    assert np.array_equal(got.report.bin_mask, want.report.bin_mask)
+    for group in GROUPS:
+        assert np.array_equal(covered(got, group), covered(want, group)[perm])
+
+
+def test_appended_column_copy_keeps_verdict(base):
+    # the copy adds feature pairs to the propensity design, which can
+    # move significant bins, so only the verdict is a relation
+    dataset, want = base
+    got = analyze(
+        dataset,
+        features=np.column_stack([dataset.features, dataset.features[:, 0]]),
+        names=dataset.feature_names + ("copy_of_0",),
+    )
+    assert got.violation_detected == want.violation_detected

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -184,6 +185,18 @@ class TestFit:
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             fit(make_dataset(), l2_lambda=-1.0)
+
+    @pytest.mark.parametrize(
+        "group, missing", [(0, "treated (T=1)"), (1, "control (T=0)")]
+    )
+    def test_one_group_rejected(self, group, missing):
+        ds = make_dataset(n=30, seed=2)
+        one = Dataset(ds.features, np.full(30, group, dtype=np.int64))
+        with pytest.raises(ValueError) as info:
+            fit(one)
+        assert str(info.value) == (
+            f"propensity fit: no {missing} row among the 30 training rows"
+        )
 
     @pytest.mark.parametrize(
         "column, moment",
@@ -367,6 +380,20 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc(np.array([0.1, 0.9]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_pairwise_count_on_tie_heavy_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        scores = rng.integers(0, 5, n) / 4.0
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        treated = scores[labels == 1][:, None]
+        control = scores[labels == 0][None, :]
+        # twice the Mann-Whitney U: 2 per pair won, 1 per pair tied
+        twice_u = int(2 * (treated > control).sum() + (treated == control).sum())
+        want = Fraction(twice_u, 2 * treated.size * control.size)
+        assert auc(scores, labels) == float(want)
 
     @settings(max_examples=60, deadline=None)
     @given(

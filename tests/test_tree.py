@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -615,6 +616,36 @@ def test_exhaustive_tiny_instances_match_brute_force():
             else:
                 assert got is not None
                 assert got[2] == pytest.approx(want[0], abs=1e-9)
+
+
+def fraction_gini(n_pos, n):
+    return 1 - Fraction(n_pos, n) ** 2 - Fraction(n - n_pos, n) ** 2
+
+
+def test_exact_ties_keep_the_lowest_threshold():
+    # Every labeling of the values 1..n: among the cuts a rational oracle
+    # finds exactly optimal, the lowest threshold wins, and no cut is
+    # taken unless it is strictly better than the unsplit node.
+    for n in range(2, 11):
+        features = np.arange(1.0, n + 1.0)[:, None]
+        for bits in itertools.product([0, 1], repeat=n):
+            labels = np.array(bits, dtype=np.int64)
+            n_pos = sum(bits)
+            scores = {
+                c + 0.5: (
+                    c * fraction_gini(sum(bits[:c]), c)
+                    + (n - c) * fraction_gini(n_pos - sum(bits[:c]), n - c)
+                ) / n
+                for c in range(1, n)
+            }
+            best = min(scores.values())
+            got = best_split(features, labels)
+            if best >= fraction_gini(n_pos, n):
+                assert got is None, bits
+            else:
+                want = min(t for t, v in scores.items() if v == best)
+                assert got is not None and got[:2] == (0, want), bits
+                assert got[2] == pytest.approx(float(best), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
