@@ -1,9 +1,11 @@
 """Synthetic generator: carve guarantees, determinism, distributions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from positivity import SynthSpec, generate
+from positivity import SynthSpec, generate, write_csv
 from positivity.synth import DEFAULT_CARVE, CovariateSpec, carve_mask
 
 
@@ -109,6 +111,41 @@ class TestDeterminism:
         a = generate(SynthSpec(n=1000), seed=1)
         b = generate(SynthSpec(n=1000), seed=2)
         assert not np.array_equal(a.features, b.features)
+
+
+# sha256 of the CSV bytes; the first is also `positivity synth demo.csv
+# --seed 0`, the file the README quick start analyses
+GOLDEN_CSV = [
+    (
+        SynthSpec(),
+        0,
+        "a591b2b5465af00275113f1e97796568528c31f8b02a3a9d5486f960783a0c97",
+    ),
+    (
+        SynthSpec(
+            n=2000,
+            noise_covariates=8,
+            logit_intercept=-4.0,
+            logit_weights=(0.1, -0.8) + (0.0,) * 8,
+        ),
+        1,
+        "0aa8152c3e2ce0e1cfe6fd0c086d80a80f13b150a59515c9072d7859bb90d83b",
+    ),
+    (
+        SynthSpec(n=2000, carve_mode="delete"),
+        1,
+        "adca46e038279d8d9febcac9f45e76367994f91ef45417e1a35f532b5185f271",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, seed, digest", GOLDEN_CSV, ids=["default", "confounded", "delete"]
+)
+def test_csv_bytes_pinned(tmp_path, spec, seed, digest):
+    path = tmp_path / "synth.csv"
+    write_csv(generate(spec, seed), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestNoiseCovariates:
