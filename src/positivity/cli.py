@@ -163,12 +163,11 @@ def cmd_explain_tree(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SynthSpec(
         n=args.n,
-        seed=args.seed,
         noise_covariates=args.noise_covariates,
         carve=() if args.no_carve else DEFAULT_CARVE,
         carve_mode=args.carve_mode,
     )
-    dataset = generate(spec)
+    dataset = generate(spec, args.seed)
     write_csv(dataset, args.output, args.treatment_col)
     print(
         f"wrote {dataset.n} rows x {dataset.d} features to {args.output}"

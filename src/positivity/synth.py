@@ -9,17 +9,12 @@ same seed agree everywhere outside the carved region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .propensity import _sigmoid
-
-DEFAULT_COVARIATES = (
-    ("profile_age", "uniform", (0.0, 3000.0)),
-    ("days_since_last_email", "uniform", (0.0, 365.0)),
-)
 
 # profile_age in (1500, 1800] and days_since_last_email in (-1, 50];
 # the -1 lower bound makes the second clause "at most 50 days" for a
@@ -33,53 +28,20 @@ _NOISE_PREFIX = "noise_"
 
 
 @dataclass(frozen=True)
-class CovariateSpec:
-    """One covariate column: ``uniform`` over [a, b) or ``normal`` (mean, std)."""
-
-    name: str
-    kind: str = "uniform"
-    params: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("covariate name must be non-empty")
-        a, b = self.params
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"covariate {self.name!r}: non-finite params")
-        if self.kind == "uniform":
-            if not a < b:
-                raise ValueError(
-                    f"covariate {self.name!r}: uniform needs low < high"
-                )
-        elif self.kind == "normal":
-            if not b > 0:
-                raise ValueError(
-                    f"covariate {self.name!r}: normal needs std > 0"
-                )
-        else:
-            raise ValueError(f"covariate {self.name!r}: unknown kind {self.kind!r}")
-
-
-def _default_covariates() -> tuple[CovariateSpec, ...]:
-    return tuple(CovariateSpec(n, k, p) for n, k, p in DEFAULT_COVARIATES)
-
-
-@dataclass(frozen=True)
 class SynthSpec:
     """Generation recipe: covariates, treatment score, carved region.
 
-    ``logit_weights`` aligns with covariates followed by noise columns;
-    empty means all-zero, which gives a coin-flip treatment draw. The
+    The covariates are ``profile_age``, uniform over [0, 3000), and
+    ``days_since_last_email``, uniform over [0, 365), followed by
+    ``noise_covariates`` standard-normal columns named ``noise_k``.
+    ``logit_weights`` aligns with those columns in that order; empty
+    means all-zero, which gives a coin-flip treatment draw. The
     carve is a conjunction of per-feature (low, high] bounds; samples
     inside it are forced to control (``reassign``) or, with ``delete``,
     their treated members are dropped.
     """
 
     n: int = 20000
-    seed: int = 0
-    covariates: tuple[CovariateSpec, ...] = field(
-        default_factory=_default_covariates
-    )
     noise_covariates: int = 0
     logit_intercept: float = 0.0
     logit_weights: tuple[float, ...] = ()
@@ -97,8 +59,6 @@ class SynthSpec:
                 f" {self.carve_mode!r}"
             )
         names = self.feature_names()
-        if len(set(names)) != len(names):
-            raise ValueError("covariate names must be unique")
         if self.logit_weights and len(self.logit_weights) != len(names):
             raise ValueError(
                 f"logit_weights has {len(self.logit_weights)} entries for"
@@ -123,36 +83,31 @@ class SynthSpec:
                 )
 
     def feature_names(self) -> tuple[str, ...]:
-        own = tuple(c.name for c in self.covariates)
         noise = tuple(
             f"{_NOISE_PREFIX}{k}" for k in range(self.noise_covariates)
         )
-        return own + noise
+        return ("profile_age", "days_since_last_email") + noise
 
 
 def carve_mask(
     spec: SynthSpec, features: np.ndarray, feature_names: tuple[str, ...]
 ) -> np.ndarray:
     """Rows inside the carved region (all-False when no carve is set)."""
-    mask = np.zeros(features.shape[0], dtype=bool) if not spec.carve else None
+    mask = np.full(features.shape[0], bool(spec.carve))
     for name, low, high in spec.carve:
         col = features[:, feature_names.index(name)]
-        clause = (col > low) & (col <= high)
-        mask = clause if mask is None else (mask & clause)
+        mask &= (col > low) & (col <= high)
     return mask
 
 
-def generate(spec: SynthSpec, seed: int | None = None) -> Dataset:
-    """Draw a dataset from ``spec``; ``seed`` overrides ``spec.seed``."""
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+def generate(spec: SynthSpec, seed: int = 0) -> Dataset:
+    """Draw a dataset from ``spec`` with the generator seeded by ``seed``."""
+    rng = np.random.default_rng(seed)
     names = spec.feature_names()
-    columns = []
-    for cov in spec.covariates:
-        a, b = cov.params
-        if cov.kind == "uniform":
-            columns.append(rng.uniform(a, b, size=spec.n))
-        else:
-            columns.append(rng.normal(a, b, size=spec.n))
+    columns = [
+        rng.uniform(0.0, 3000.0, spec.n),
+        rng.uniform(0.0, 365.0, spec.n),
+    ]
     for _ in range(spec.noise_covariates):
         columns.append(rng.standard_normal(spec.n))
     features = np.column_stack(columns)

@@ -31,17 +31,25 @@ right rows positive has weighted Gini (2/m) times the score
 ``n_pos*(m-n_pos)/m``. Every operand is an integer held exactly in a
 float64 while m**3/16 <= 2**53, i.e. for nodes of up to 2**19 = 524,288
 rows, so one correctly rounded division gives exactly tied cuts equal
-scores, and the tie rule above holds exactly.
+scores, and the tie rule above holds exactly. ``build_tree`` logs a
+warning when it searches a root past that bound; the root is the
+largest node, so no other node can pass it unannounced.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .data import Config
+
+logger = logging.getLogger(__name__)
+
+# largest node whose split scores are exact (m**3/16 <= 2**53)
+_EXACT_ROWS = 2**19
 
 
 @dataclass(frozen=True)
@@ -240,6 +248,12 @@ def build_tree(
 
     # sorted only when the root is searched
     order = None if stops(total_pos, n, 0) else np.argsort(columns, axis=1)
+    if order is not None and n > _EXACT_ROWS:
+        logger.warning(
+            "tree root has %d rows, past the %d rows up to which tied "
+            "splits resolve exactly; ties may break by rounding", n,
+            _EXACT_ROWS,
+        )
     return ExplanationTree(
         root=grow(0, n, total_pos, 0),
         group=group,

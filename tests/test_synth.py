@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from positivity import SynthSpec, generate, write_csv
-from positivity.synth import DEFAULT_CARVE, CovariateSpec, carve_mask
+from positivity.synth import DEFAULT_CARVE, carve_mask
 
 
 def in_default_carve(features, names):
@@ -101,12 +101,6 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.treatment, b.treatment)
 
-    def test_spec_seed_used_when_not_overridden(self):
-        a = generate(SynthSpec(n=1000, seed=4))
-        b = generate(SynthSpec(n=1000), seed=4)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.treatment, b.treatment)
-
     def test_different_seeds_differ(self):
         a = generate(SynthSpec(n=1000), seed=1)
         b = generate(SynthSpec(n=1000), seed=2)
@@ -196,18 +190,6 @@ class TestValidation:
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="logit_weights"):
             SynthSpec(logit_weights=(1.0,))
-
-    def test_bad_covariate_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            CovariateSpec("x", "poisson", (1.0, 2.0))
-
-    def test_uniform_needs_ordered_params(self):
-        with pytest.raises(ValueError, match="low < high"):
-            CovariateSpec("x", "uniform", (2.0, 2.0))
-
-    def test_normal_needs_positive_std(self):
-        with pytest.raises(ValueError, match="std"):
-            CovariateSpec("x", "normal", (0.0, 0.0))
 
     def test_nonpositive_n(self):
         with pytest.raises(ValueError, match="n must be"):

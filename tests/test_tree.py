@@ -1,6 +1,7 @@
 """Greedy CART growth, split search, and asymmetric top-down pruning."""
 
 import itertools
+import logging
 import tracemalloc
 from fractions import Fraction
 
@@ -646,6 +647,20 @@ def test_exact_ties_keep_the_lowest_threshold():
                 want = min(t for t, v in scores.items() if v == best)
                 assert got is not None and got[:2] == (0, want), bits
                 assert got[2] == pytest.approx(float(best), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, warns", [(2**19, False), (2**19 + 1, True)])
+def test_root_past_the_exactness_bound_warns(caplog, n, warns):
+    features = np.arange(n, dtype=np.float64)[:, None]
+    labels = (np.arange(n) % 3 == 0).astype(np.int64)
+    with caplog.at_level(logging.WARNING, logger="positivity.tree"):
+        build_tree(features, labels, Config(max_depth=1))
+    messages = [r.getMessage() for r in caplog.records]
+    if warns:
+        assert len(messages) == 1
+        assert f"{n} rows" in messages[0] and f"{2**19} rows" in messages[0]
+    else:
+        assert messages == []
 
 
 @settings(max_examples=60, deadline=None)
