@@ -44,9 +44,10 @@ _TEST_KINDS = ("z", "fisher")
 class Config:
     """Analysis knobs shared across the pipeline.
 
-    ``propensity_bins`` controls the feature expansion used when fitting
-    the propensity model inside the analysis pipeline (0 disables it and
-    fits on the raw columns); it does not affect trees or rules.
+    ``propensity_bins`` is the ``bins`` of the
+    :func:`~positivity.propensity.expand_features` call that builds the
+    propensity design on every run (0: the raw columns alone, through
+    the same call); it does not affect trees or rules.
     """
 
     bins: int = 100

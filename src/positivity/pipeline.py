@@ -1,11 +1,12 @@
 """End-to-end orchestration: dataset in, verdict and explanations out.
 
-The propensity model is fit on an expanded design (bin indicators and
-pairwise cells, see :func:`positivity.propensity.expand_features`) so
-that interior covariate regions with missing treatment mass produce
-separated scores. Histograms, tests, and labels run on those scores;
-the explanation trees are always trained on the raw features, which is
-what keeps the extracted rules readable.
+The propensity model is fit on the design
+:func:`positivity.propensity.expand_features` builds from
+``config.propensity_bins``: by default bin indicators and pairwise
+cells, so that interior covariate regions with missing treatment mass
+produce separated scores. Histograms, tests, and labels run on those
+scores; the explanation trees are always trained on the raw features,
+which is what keeps the extracted rules readable.
 """
 
 from __future__ import annotations
@@ -54,14 +55,9 @@ def analyze_dataset(dataset: Dataset, config: Config = Config()) -> AnalysisResu
     if diagnostics:
         raise DataError(diagnostics)
 
-    if config.propensity_bins > 0:
-        model_input = expand_features(dataset, bins=config.propensity_bins)
-    else:
-        model_input = dataset
-    logger.info(
-        "propensity design: %d columns (%d raw)", model_input.d, dataset.d
-    )
-    propensity = fit_predict(model_input, config)
+    design = expand_features(dataset, config.propensity_bins)
+    logger.info("propensity design: %d columns (%d raw)", design.d, dataset.d)
+    propensity = fit_predict(design, config)
     logger.info(
         "propensity fit: auc=%.4f log_loss=%.4f", propensity.auc,
         propensity.log_loss,

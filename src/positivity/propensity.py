@@ -31,8 +31,9 @@ many CG iterations each step took.
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
 
-:func:`expand_features` builds the binned design the analysis pipeline
-feeds into this model. A linear score is monotone along a single
+:func:`expand_features` builds the design the analysis pipeline feeds
+into this model on every run; at 0 bins it is the raw columns alone.
+Otherwise it is binned: a linear score is monotone along a single
 direction of feature space, so it cannot isolate an interior
 rectangular region; indicator columns for per-feature equal-width bins
 plus pairwise bin-interaction cells make such regions separable while
@@ -123,14 +124,16 @@ class PropensityResult:
 class Design:
     """Raw columns plus indicator columns held as row passes.
 
-    Columns 0..d_raw-1 are the raw features; ``feature_names`` names all
-    :attr:`d` columns. Each pass ``(codes, cells, grid, rows, cols)``
-    sets, in row i, column ``cells.start + codes[i]`` of the column slice
-    ``cells``, whose columns form a cell grid of shape ``grid``. A pair
-    pass has ``grid = (ka, kb)`` and may also set the bin columns of its
-    grid row, ``rows.start + codes[i] // kb``, and of its grid column,
-    ``cols.start + codes[i] % kb``; ``rows`` and ``cols`` are None when
-    it does not, as in a bin pass, whose grid is ``(k,)``.
+    Columns 0..d_raw-1 are the raw features, named by ``feature_names``;
+    the indicator columns follow them contiguously, so :attr:`d` is the
+    end of the last pass's cells. Each pass ``(codes, cells, grid, rows,
+    cols)`` sets, in row i, column ``cells.start + codes[i]`` of the
+    column slice ``cells``, whose columns form a cell grid of shape
+    ``grid``. A pair pass has ``grid = (ka, kb)`` and may also set the
+    bin columns of its grid row, ``rows.start + codes[i] // kb``, and of
+    its grid column, ``cols.start + codes[i] % kb``; ``rows`` and
+    ``cols`` are None when it does not, as in a bin pass, whose grid is
+    ``(k,)``.
     """
 
     raw: NDArray[np.float64]
@@ -144,7 +147,8 @@ class Design:
 
     @property
     def d(self) -> int:
-        return len(self.feature_names)
+        # bin blocks precede every pair's cells, so the last cells end D
+        return max([self.raw.shape[1]] + [p[1].stop for p in self.passes])
 
     def take(self, rows: NDArray[np.intp]) -> Design:
         """The same design restricted to ``rows``."""
@@ -154,13 +158,6 @@ class Design:
             self.feature_names,
             tuple((codes[rows], *rest) for codes, *rest in self.passes),
         )
-
-
-def _as_design(dataset: Dataset | Design) -> Design:
-    """A dataset is a design with no indicator columns."""
-    if isinstance(dataset, Design):
-        return dataset
-    return Design(dataset.features, dataset.treatment, dataset.feature_names)
 
 
 def _softplus_sigmoid(
@@ -408,23 +405,22 @@ def _check_finite(loss: float, grad: NDArray[np.float64], it: int) -> None:
 
 
 def fit(
-    dataset: Dataset | Design,
+    design: Design,
     l2_lambda: float = 1e-4,
     max_iter: int = 1000,
 ) -> PropensityModel:
-    """Fit the regularized logistic model to a design or a dataset.
+    """Fit the regularized logistic model to a design.
 
-    A :class:`~positivity.data.Dataset` is fit as a design with no
-    indicator columns. Each Newton step is a truncated conjugate-gradient
-    solve from Hessian-vector products on the row passes, so no n x D
-    matrix is formed. The solve stops at the Eisenstat-Walker forcing
-    term (see the module docstring) or once the residual max-norm is at
-    most half the gradient tolerance; ``cg_iters`` records its
-    iterations per step. Stops when the gradient max-norm drops below
-    1e-8 (converged), after ``max_iter`` Newton steps, or at the first
-    step whose halvings all leave the loss higher; the last two are
-    reported on the model and logged as a warning naming the stop, not
-    raised. Training rows of only one treatment group, a non-finite
+    Each Newton step is a truncated conjugate-gradient solve from
+    Hessian-vector products on the row passes, so no n x D matrix is
+    formed. The solve stops at the Eisenstat-Walker forcing term (see
+    the module docstring) or once the residual max-norm is at most half
+    the gradient tolerance; ``cg_iters`` records its iterations per
+    step. Stops when the gradient max-norm drops below 1e-8
+    (converged), after ``max_iter`` Newton steps, or at the first step
+    whose halvings all leave the loss higher; the last two are reported
+    on the model and logged as a warning naming the stop, not raised.
+    Training rows of only one treatment group, a non-finite
     loss or gradient, or a raw column whose moments overflow, raise
     ``ValueError``.
     """
@@ -432,7 +428,6 @@ def fit(
         raise ValueError("l2_lambda must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    design = _as_design(dataset)
     n_treated = int(design.treatment.sum())
     if n_treated in (0, design.n):
         missing = "treated (T=1)" if n_treated == 0 else "control (T=0)"
@@ -508,19 +503,19 @@ def fit(
     )
 
 
-def predict(
-    model: PropensityModel, dataset: Dataset | Design
-) -> NDArray[np.float64]:
-    """Score a design or a dataset with a fitted model.
+def predict(model: PropensityModel, design: Design) -> NDArray[np.float64]:
+    """Score a design with a fitted model.
 
-    It must carry the same feature names, in the same order, as the
-    training data. Scores are clamped to the open interval (0, 1) so
-    downstream log-losses stay finite.
+    It must carry the same raw feature names, in the same order, and the
+    same column count as the training design. Scores are clamped to the
+    open interval (0, 1) so downstream log-losses stay finite.
     """
-    design = _as_design(dataset)
-    if design.feature_names != model.feature_names:
+    if (design.feature_names, design.d) != (
+        model.feature_names, model.weights.size
+    ):
         raise ValueError(
-            "dataset feature names do not match the model's training features"
+            "design feature names or column count do not match the "
+            "model's training design"
         )
     x_std = _Standardized(design, model.feature_means, model.feature_stds)
     z = x_std @ model.weights + model.intercept
@@ -560,17 +555,14 @@ def log_loss(scores, labels) -> float:
     return float(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).mean())
 
 
-def fit_predict(
-    dataset: Dataset | Design, config: Config
-) -> PropensityResult:
-    """Score every row of a design or a dataset, in-sample or cross-fit.
+def fit_predict(design: Design, config: Config) -> PropensityResult:
+    """Score every row of a design, in-sample or cross-fit.
 
     With ``config.cross_fit_folds`` = 1 (the default) one model is fit
     on all rows and scores them all. With k > 1, rows are shuffled by
     the config seed into k nearly equal folds and each fold is scored
     by a model fit on the other folds; every row is scored exactly once.
     """
-    design = _as_design(dataset)
     k = config.cross_fit_folds
     n = design.n
     if k > n:
@@ -602,29 +594,34 @@ def _is_binary(column: NDArray[np.float64]) -> bool:
     return bool(np.isin(column, (0.0, 1.0)).all())
 
 
-def expand_features(dataset: Dataset, bins: int = 16) -> Design:
+def expand_features(dataset: Dataset, bins: int) -> Design:
     """Augment features with bin indicators and pairwise interaction cells.
 
-    Every non-constant feature gets a level code per row: binary
-    columns use their own value (2 levels), other numeric columns are
-    cut into ``bins`` equal-width intervals over their observed range.
-    The columns are the raw features, then one block of bin indicators
-    per numeric (non-binary) feature, then one block of cells per
-    feature pair in feature order, stopping at the first pair that
-    would take the design past :data:`MAX_DESIGN_COLUMNS` (logged as a
-    warning). It raises ``ValueError`` when the raw columns and bin
-    blocks alone pass the cap, or when a column's range gives a bin
-    width of 0 or inf. The returned :class:`Design` holds the indicator
-    columns as row passes, never as the n x D matrix: the bins of each
-    feature no kept pair contains, then each kept pair together with
-    the bins of its features that no earlier pair carries. Empty levels
-    are constant columns, which the fit leaves at weight zero.
+    ``bins`` = 0 gives the raw design: the dataset's columns and no
+    indicator columns. Otherwise every non-constant feature gets a
+    level code per row: binary columns use their own value (2 levels),
+    other numeric columns are cut into ``bins`` equal-width intervals
+    over their observed range. The columns are the raw features, then
+    one block of bin indicators per numeric (non-binary) feature, then
+    one block of cells per feature pair in feature order, stopping at
+    the first pair that would take the design past
+    :data:`MAX_DESIGN_COLUMNS` (logged as a warning). It raises
+    ``ValueError`` when ``bins`` is neither 0 nor at least 2, when the
+    raw columns and bin blocks alone pass the cap, or when a column's
+    range gives a bin width of 0 or inf. The returned :class:`Design`
+    holds the indicator columns as row passes, never as the n x D
+    matrix: the bins of each feature no kept pair contains, then each
+    kept pair together with the bins of its features that no earlier
+    pair carries. Empty levels are constant columns, which the fit
+    leaves at weight zero.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    if bins < 0 or bins == 1:
+        raise ValueError(f"bins must be 0 or >= 2, got {bins}")
     feats = dataset.features
-    raw_names = dataset.feature_names
-    n_cols = len(raw_names)
+    names = dataset.feature_names
+    if bins == 0:
+        return Design(feats, dataset.treatment, names)
+    n_cols = feats.shape[1]
     # per non-constant feature: (index, level codes, level count)
     coded: list[tuple[int, NDArray[np.int64], int]] = []
     # feature index -> (codes, columns) of its bins, until a pair takes them
@@ -642,7 +639,7 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
         width = (hi - lo) / bins
         if not 0.0 < width < np.inf:
             raise ValueError(
-                f"expand_features: column {raw_names[j]!r} spans "
+                f"expand_features: column {names[j]!r} spans "
                 f"[{lo!r}, {hi!r}], so its {bins} equal-width bins would "
                 f"have width {width!r}"
             )
@@ -655,13 +652,9 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
             f"expand_features: {n_cols} columns before any feature pair "
             f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
         )
-    names = list(raw_names)
-    names.extend(
-        f"{raw_names[j]}::bin{b}" for j in unabsorbed for b in range(bins)
-    )
     pairs = []
     for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
-        if len(names) + ka * kb > MAX_DESIGN_COLUMNS:
+        if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
             logger.warning(
                 "expand_features: column cap %d reached, skipping "
                 "remaining feature pairs", MAX_DESIGN_COLUMNS,
@@ -669,21 +662,12 @@ def expand_features(dataset: Dataset, bins: int = 16) -> Design:
             break
         pairs.append((
             codes_a * kb + codes_b,
-            slice(len(names), len(names) + ka * kb),
+            slice(n_cols, n_cols + ka * kb),
             (ka, kb),
             unabsorbed.pop(a, (None, None))[1],
             unabsorbed.pop(b, (None, None))[1],
         ))
-        pair = f"{raw_names[a]}*{raw_names[b]}"
-        names.extend(
-            f"{pair}::cell{la}x{lb}" for la in range(ka) for lb in range(kb)
-        )
-    if len(set(names)) != len(names):
-        raise ValueError(
-            "expanded feature names collide with existing columns"
-        )
+        n_cols += ka * kb
     lone = [(codes, cells, (bins,), None, None)
             for codes, cells in unabsorbed.values()]
-    return Design(
-        feats, dataset.treatment, tuple(names), tuple(lone + pairs)
-    )
+    return Design(feats, dataset.treatment, names, tuple(lone + pairs))

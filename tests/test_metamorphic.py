@@ -92,3 +92,22 @@ def test_appended_column_copy_keeps_verdict(base):
         names=dataset.feature_names + ("copy_of_0",),
     )
     assert got.violation_detected == want.violation_detected
+
+
+def test_names_like_indicator_columns_change_nothing(base):
+    # the propensity design counts its indicator columns instead of
+    # naming them, so a raw name shaped like a bin or cell is just a name
+    dataset, want = base
+    names = list(dataset.feature_names)
+    names[1] = "profile_age::bin0"
+    if dataset.d > 2:
+        names[2] = "profile_age*profile_age::bin0::cell0x0"
+    got = analyze(dataset, names=tuple(names))
+    np.testing.assert_array_equal(
+        got.propensity.scores.view(np.int64),
+        want.propensity.scores.view(np.int64),
+    )
+    assert got.violation_detected == want.violation_detected
+    assert np.array_equal(got.report.bin_mask, want.report.bin_mask)
+    for group in GROUPS:
+        assert np.array_equal(covered(got, group), covered(want, group))

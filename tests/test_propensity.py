@@ -33,7 +33,12 @@ def logit(p):
     return math.log(p / (1.0 - p))
 
 
-def make_dataset(n=200, d=3, seed=0, weights=None, intercept=0.0):
+def raw_design(features, treatment, names=()):
+    """The raw design of a dataset: its columns and no indicator passes."""
+    return expand_features(Dataset(features, treatment, names), 0)
+
+
+def make_design(n=200, d=3, seed=0, weights=None, intercept=0.0):
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d))
     if weights is None:
@@ -42,7 +47,7 @@ def make_dataset(n=200, d=3, seed=0, weights=None, intercept=0.0):
     treatment = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(np.int64)
     if treatment.min() == treatment.max():
         treatment[0] = 1 - treatment[0]
-    return Dataset(features, treatment)
+    return raw_design(features, treatment)
 
 
 class TestLossGradient:
@@ -113,7 +118,7 @@ class TestFit:
     def test_separated_data_positive_weight(self):
         features = np.array([[-1.0]] * 10 + [[1.0]] * 10)
         treatment = np.array([0] * 10 + [1] * 10)
-        model = fit(Dataset(features, treatment), l2_lambda=0.1)
+        model = fit(raw_design(features, treatment), l2_lambda=0.1)
         assert model.weights[0] > 0
 
     def test_constant_feature_weight_exactly_zero(self):
@@ -123,12 +128,12 @@ class TestFit:
         )
         treatment = rng.integers(0, 2, 50)
         treatment[0], treatment[1] = 0, 1
-        model = fit(Dataset(features, treatment))
+        model = fit(raw_design(features, treatment))
         assert model.weights[1] == 0.0
         assert model.feature_stds[1] == 1.0
 
     def test_huge_lambda_collapses_to_intercept_model(self):
-        ds = make_dataset(n=400, seed=2, weights=np.array([1.0, -1.0, 0.5]))
+        ds = make_design(n=400, seed=2, weights=np.array([1.0, -1.0, 0.5]))
         model = fit(ds, l2_lambda=1e6)
         target = logit(ds.treatment.mean())
         assert np.abs(model.weights).max() < 1e-3
@@ -136,7 +141,7 @@ class TestFit:
 
     def test_reports_convergence(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="positivity.propensity"):
-            model = fit(make_dataset(seed=3))
+            model = fit(make_design(seed=3))
         assert model.converged
         assert model.n_iter >= 1
         assert len(model.cg_iters) == model.n_iter
@@ -157,7 +162,7 @@ class TestFit:
 
         monkeypatch.setattr(propensity, "_loss_grad_p", every_step_worse)
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
-            model = fit(make_dataset(seed=3), max_iter=50)
+            model = fit(make_design(seed=3), max_iter=50)
         assert model.n_iter == 1
         assert len(model.cg_iters) == 1
         assert not model.converged
@@ -172,7 +177,7 @@ class TestFit:
 
     def test_stops_at_max_iter(self, caplog):
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
-            model = fit(make_dataset(n=400, seed=3, weights=np.ones(3)),
+            model = fit(make_design(n=400, seed=3, weights=np.ones(3)),
                         max_iter=1)
         assert model.n_iter == 1
         assert not model.converged
@@ -184,14 +189,14 @@ class TestFit:
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            fit(make_dataset(), l2_lambda=-1.0)
+            fit(make_design(), l2_lambda=-1.0)
 
     @pytest.mark.parametrize(
         "group, missing", [(0, "treated (T=1)"), (1, "control (T=0)")]
     )
     def test_one_group_rejected(self, group, missing):
-        ds = make_dataset(n=30, seed=2)
-        one = Dataset(ds.features, np.full(30, group, dtype=np.int64))
+        ds = make_design(n=30, seed=2)
+        one = raw_design(ds.raw, np.full(30, group, dtype=np.int64))
         with pytest.raises(ValueError) as info:
             fit(one)
         assert str(info.value) == (
@@ -210,9 +215,9 @@ class TestFit:
         ids=["pm_1e308", "pm_1e200", "sum"],
     )
     def test_overflowing_column_rejected(self, column, moment):
-        ds = make_dataset(n=50, d=1, seed=2)
-        features = np.column_stack([ds.features[:, 0], column])
-        wide = Dataset(features, ds.treatment, ("u", "big"))
+        ds = make_design(n=50, d=1, seed=2)
+        features = np.column_stack([ds.raw[:, 0], column])
+        wide = raw_design(features, ds.treatment, ("u", "big"))
         lo, hi = min(column), max(column)
         with pytest.raises(ValueError) as info:
             fit(wide)
@@ -224,11 +229,11 @@ class TestFit:
     def test_underflowing_column_rejected(self):
         # the squared deviations (1e-400) underflow to 0, so the std reads
         # 0 although the column separates the groups perfectly
-        ds = make_dataset(n=50, d=1, seed=2)
+        ds = make_design(n=50, d=1, seed=2)
         tiny = np.where(ds.treatment == 1, 1e-200, -1e-200)
-        features = np.column_stack([ds.features[:, 0], tiny])
+        features = np.column_stack([ds.raw[:, 0], tiny])
         with pytest.raises(ValueError) as info:
-            fit(Dataset(features, ds.treatment, ("u", "tiny")))
+            fit(raw_design(features, ds.treatment, ("u", "tiny")))
         assert str(info.value) == (
             "propensity fit: column 'tiny' spans [-1e-200, 1e-200], so its "
             "standard deviation underflows"
@@ -248,13 +253,13 @@ class TestFit:
 
         monkeypatch.setattr(propensity, "_loss_grad_p", nan_gradient)
         with pytest.raises(ValueError, match="non-finite loss .* or gradient"):
-            fit(make_dataset(seed=3))
+            fit(make_design(seed=3))
         assert len(calls) == bad_call
 
 
 class TestPredict:
     def test_zero_model_gives_half(self):
-        ds = make_dataset(n=50, seed=4)
+        ds = make_design(n=50, seed=4)
         model = fit(ds)
         zeroed = model.__class__(
             weights=np.zeros_like(model.weights),
@@ -270,7 +275,7 @@ class TestPredict:
         np.testing.assert_allclose(predict(zeroed, ds), 0.5)
 
     def test_intercept_only_model_hits_target(self):
-        ds = make_dataset(n=50, seed=4)
+        ds = make_design(n=50, seed=4)
         model = fit(ds)
         biased = model.__class__(
             weights=np.zeros_like(model.weights),
@@ -286,25 +291,36 @@ class TestPredict:
         np.testing.assert_allclose(predict(biased, ds), 0.8, atol=1e-12)
 
     def test_scores_strictly_inside_unit_interval(self):
-        ds = make_dataset(n=100, seed=6, weights=np.array([50.0, 0.0, 0.0]))
+        ds = make_design(n=100, seed=6, weights=np.array([50.0, 0.0, 0.0]))
         model = fit(ds, l2_lambda=1e-12, max_iter=200)
         scores = predict(model, ds)
         assert (scores > 0.0).all()
         assert (scores < 1.0).all()
 
     def test_feature_name_mismatch_rejected(self):
-        ds = make_dataset(n=30, seed=7)
+        ds = make_design(n=30, seed=7)
         model = fit(ds)
-        renamed = Dataset(ds.features, ds.treatment, ("a", "b", "c"))
+        renamed = raw_design(ds.raw, ds.treatment, ("a", "b", "c"))
         with pytest.raises(ValueError, match="feature names"):
             predict(model, renamed)
+
+    def test_design_of_other_bins_rejected(self):
+        # the same raw names, but 82 design columns where the model has 290
+        rng = np.random.default_rng(7)
+        treatment = rng.integers(0, 2, 200)
+        treatment[0], treatment[1] = 0, 1
+        ds = Dataset(rng.uniform(0, 1, (200, 2)), treatment)
+        model = fit(expand_features(ds, 16))
+        assert model.weights.size == 290
+        with pytest.raises(ValueError, match="feature names"):
+            predict(model, expand_features(ds, 8))
 
 
 class TestFitPredict:
     def test_separable_auc_one(self):
         features = np.array([[-1.0]] * 5 + [[1.0]] * 5)
         treatment = np.array([0] * 5 + [1] * 5)
-        result = fit_predict(Dataset(features, treatment), Config())
+        result = fit_predict(raw_design(features, treatment), Config())
         assert result.auc == 1.0
         assert result.folds == 1
 
@@ -312,11 +328,11 @@ class TestFitPredict:
         rng = np.random.default_rng(8)
         features = rng.standard_normal((10000, 2))
         treatment = rng.integers(0, 2, 10000)
-        result = fit_predict(Dataset(features, treatment), Config())
+        result = fit_predict(raw_design(features, treatment), Config())
         assert 0.45 <= result.auc <= 0.58
 
     def test_in_sample_deterministic(self):
-        ds = make_dataset(n=300, seed=9, weights=np.array([0.5, 0.0, -0.5]))
+        ds = make_design(n=300, seed=9, weights=np.array([0.5, 0.0, -0.5]))
         a = fit_predict(ds, Config())
         b = fit_predict(ds, Config())
         np.testing.assert_array_equal(a.scores, b.scores)
@@ -324,7 +340,7 @@ class TestFitPredict:
         assert a.log_loss == b.log_loss
 
     def test_cross_fit_scores_every_row_once(self):
-        ds = make_dataset(n=103, seed=10, weights=np.array([1.0, 0.0, 0.0]))
+        ds = make_design(n=103, seed=10, weights=np.array([1.0, 0.0, 0.0]))
         result = fit_predict(ds, Config(cross_fit_folds=5, seed=3))
         assert result.folds == 5
         assert result.scores.shape == (103,)
@@ -335,7 +351,7 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_per_fold_fit_outcomes_match_direct_fits(self, folds):
-        ds = make_dataset(n=120, seed=12, weights=np.array([1.0, 0.0, -0.5]))
+        ds = make_design(n=120, seed=12, weights=np.array([1.0, 0.0, -0.5]))
         result = fit_predict(ds, Config(cross_fit_folds=folds, seed=6))
         if folds == 1:
             models = [fit(ds)]
@@ -343,8 +359,8 @@ class TestFitPredict:
             rng = np.random.default_rng(6)
             splits = np.array_split(rng.permutation(ds.n), folds)
             models = [
-                fit(Dataset(np.delete(ds.features, fold, axis=0),
-                            np.delete(ds.treatment, fold)))
+                fit(raw_design(np.delete(ds.raw, fold, axis=0),
+                               np.delete(ds.treatment, fold)))
                 for fold in splits
             ]
         assert result.n_iter == tuple(m.n_iter for m in models)
@@ -354,7 +370,7 @@ class TestFitPredict:
         assert all(result.converged)
 
     def test_cross_fit_more_folds_than_rows_rejected(self):
-        ds = make_dataset(n=20, seed=11)
+        ds = make_design(n=20, seed=11)
         with pytest.raises(ValueError, match="folds"):
             fit_predict(ds, Config(cross_fit_folds=21))
 
@@ -443,13 +459,19 @@ def dense(design):
     return x
 
 
-def block_named(design, prefix):
-    """(codes, k, names) of the block whose column names start with prefix."""
+def block_at(design, start):
+    """(codes, k) of the indicator block whose k columns start at start."""
     for codes, cols in indicator_blocks(design):
-        names = design.feature_names[cols]
-        if names[0].startswith(prefix):
-            return codes, len(names), names
-    raise AssertionError(f"no block named {prefix!r}")
+        if cols.start == start:
+            return codes, cols.stop - cols.start
+    raise AssertionError(f"no block starts at column {start}")
+
+
+def raw_bins(col, bins):
+    """Equal-width bin of each value over the column's range: the reference."""
+    lo, hi = col.min(), col.max()
+    edges = lo + (hi - lo) * np.arange(1, bins) / bins
+    return np.searchsorted(edges, col, side="right")
 
 
 def assert_partitions_rows(codes, k, n):
@@ -474,49 +496,79 @@ class TestExpandFeatures:
         treatment[0], treatment[1] = 0, 1
         return Dataset(features, treatment, ("a", "b", "flag", "const"))
 
+    # the layout of make() at 4 bins: raw a, b, flag, const (0..3); the
+    # bins of a (4..7) and of b (8..11); the cells of a * b (12..27),
+    # which carry both bin blocks, of a * flag (28..35) and of b * flag
+    # (36..43)
+
     def test_keeps_raw_columns_first(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
-        assert out.feature_names[:4] == ds.feature_names
+        assert out.feature_names == ds.feature_names
         np.testing.assert_array_equal(out.raw, ds.features)
         np.testing.assert_array_equal(out.treatment, ds.treatment)
         assert out.n == ds.n
-        assert out.d == len(out.feature_names)
+        assert out.d == 44
+        # the indicator blocks tile the columns from the last raw one on
+        cols = [cols for _, cols in indicator_blocks(out)]
+        assert [c.start for c in cols] == [4] + [c.stop for c in cols[:-1]]
+        assert cols[-1].stop == out.d
+
+    def test_zero_bins_is_the_raw_design(self):
+        ds = self.make()
+        out = expand_features(ds, 0)
+        assert out.passes == ()
+        assert out.d == ds.d == 4
+        assert out.feature_names == ds.feature_names
+        np.testing.assert_array_equal(out.raw, ds.features)
+        np.testing.assert_array_equal(out.treatment, ds.treatment)
+
+    @pytest.mark.parametrize("bins", [-1, 1])
+    def test_bins_neither_zero_nor_two_rejected(self, bins):
+        message = f"^bins must be 0 or >= 2, got {bins}$"
+        with pytest.raises(ValueError, match=message):
+            expand_features(self.make(), bins)
 
     def test_indicator_blocks_partition_rows(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
-        for base in ("a", "b"):
-            codes, k, names = block_named(out, f"{base}::bin")
+        for start in (4, 8):
+            codes, k = block_at(out, start)
             assert k == 4
-            assert names == tuple(f"{base}::bin{b}" for b in range(4))
             assert_partitions_rows(codes, k, ds.n)
 
     def test_binary_and_constant_columns_add_no_indicators(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
-        assert not any(n.startswith("flag::") for n in out.feature_names)
-        assert not any("const" in n for n in out.feature_names[4:])
+        # flag's two levels are only the grid columns of its pairs, and
+        # const is in no pass
+        assert [p[1:] for p in out.passes] == [
+            (slice(12, 28), (4, 4), slice(4, 8), slice(8, 12)),
+            (slice(28, 36), (4, 2), None, None),
+            (slice(36, 44), (4, 2), None, None),
+        ]
 
     def test_pair_cells_partition_rows(self):
         ds = self.make()
         out = expand_features(ds, bins=3)
-        codes, k, names = block_named(out, "a*b::cell")
+        # a * b follows the 3 bins of a and of b
+        assert out.passes[0][1:3] == (slice(10, 19), (3, 3))
+        codes, k = block_at(out, 10)
         assert k == 9
-        assert all(n.startswith("a*b::cell") for n in names)
         assert_partitions_rows(codes, k, ds.n)
 
     def test_binary_column_pairs_at_two_bins(self):
         ds = self.make()
         out = expand_features(ds, bins=2)
-        names = out.feature_names
-        assert [n for n in names if n.startswith("a::")] == ["a::bin0", "a::bin1"]
-        assert not any(n.startswith("flag::") for n in names)
-        codes, k, block = block_named(out, "a*flag::")
-        assert list(block) == [
-            "a*flag::cell0x0", "a*flag::cell0x1",
-            "a*flag::cell1x0", "a*flag::cell1x1",
+        # the bins of a, then of b; flag has none; then the cells of
+        # a * b, a * flag and b * flag
+        assert [cols for _, cols in indicator_blocks(out)] == [
+            slice(4, 6), slice(6, 8),
+            slice(8, 12), slice(12, 16), slice(16, 20),
         ]
+        assert [p[2] for p in out.passes] == [(2, 2)] * 3
+        codes, k = block_at(out, 12)
+        assert k == 4
         assert_partitions_rows(codes, k, ds.n)
         flag = ds.features[:, 2]
         np.testing.assert_array_equal(np.isin(codes, (1, 3)), flag == 1.0)
@@ -534,31 +586,20 @@ class TestExpandFeatures:
         mains = d + d * bins
         kept = (MAX_DESIGN_COLUMNS - mains) // (bins * bins)
         assert out.d == mains + kept * bins * bins <= MAX_DESIGN_COLUMNS
-        assert len(out.feature_names) == out.d
+        assert out.feature_names == ds.feature_names
         # x0 * x1 .. x0 * x7 carry the bins of x0 .. x7; x8 and x9 are alone
         assert len(out.passes) == 2 + kept
-        pairs = list(combinations(ds.feature_names, 2))[:kept]
+        pairs = list(combinations(range(d), 2))[:kept]
         for k, (a, b) in enumerate(pairs):
-            start = mains + k * bins * bins
-            block = slice(start, start + bins * bins)
-            assert all(
-                name.startswith(f"{a}*{b}::cell")
-                for name in out.feature_names[block]
-            )
-            codes, levels, _ = block_named(out, f"{a}*{b}::cell")
+            codes, levels = block_at(out, mains + k * bins * bins)
             assert levels == bins * bins
             assert_partitions_rows(codes, levels, n)
-
-    def test_name_collision_rejected(self):
-        rng = np.random.default_rng(13)
-        features = np.column_stack(
-            [rng.uniform(0, 1, 30), rng.uniform(0, 1, 30)]
-        )
-        treatment = rng.integers(0, 2, 30)
-        treatment[0], treatment[1] = 0, 1
-        ds = Dataset(features, treatment, ("q", "q::bin0"))
-        with pytest.raises(ValueError, match="collide"):
-            expand_features(ds, bins=2)
+            # the cell of a row is its bin of x_a times bins plus of x_b
+            np.testing.assert_array_equal(
+                codes,
+                raw_bins(features[:, a], bins) * bins
+                + raw_bins(features[:, b], bins),
+            )
 
     def test_bin_blocks_past_cap_rejected(self):
         rng = np.random.default_rng(15)
@@ -572,7 +613,8 @@ class TestExpandFeatures:
         assert out.d == 3 + 3 * 681 <= MAX_DESIGN_COLUMNS
         assert len(out.passes) == 3
 
-    def test_cap_checked_before_naming_columns(self):
+    def test_cap_checked_without_per_column_memory(self):
+        # the cap is checked from counts, before any pair's codes exist
         rng = np.random.default_rng(15)
         treatment = rng.integers(0, 2, 50)
         treatment[0], treatment[1] = 0, 1
@@ -588,7 +630,7 @@ class TestExpandFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # naming 1.2M columns took about 81 MiB
+        # one Python object per column of the 1.2M would take over 1 MiB
         assert peak < 2**20
 
     def test_bin_width_checked_before_cap(self):
@@ -608,18 +650,24 @@ class TestExpandFeatures:
         # grid columns of x0 * x2 .. x0 * x8, x9's a pass of their own
         ds, bins = (capped_dataset(), 16) if capped else (self.make(), 4)
         out = expand_features(ds, bins=bins)
-        decoded = {
-            out.feature_names[cols.start]: codes
-            for codes, cols in indicator_blocks(out)
+        numeric = [
+            j for j, col in enumerate(ds.features.T)
+            if col.min() < col.max() and set(col) != {0.0, 1.0}
+        ]
+        # one block per numeric feature, in feature order, after the raw
+        # columns; binary and constant features have none
+        want = {
+            ds.d + bins * rank: raw_bins(ds.features[:, j], bins)
+            for rank, j in enumerate(numeric)
         }
-        for name, col in zip(ds.feature_names, ds.features.T):
-            lo, hi = col.min(), col.max()
-            if lo == hi or set(col) == {0.0, 1.0}:
-                assert f"{name}::bin0" not in decoded
-                continue
-            edges = lo + (hi - lo) * np.arange(1, bins) / bins
-            want = np.searchsorted(edges, col, side="right")
-            np.testing.assert_array_equal(decoded[f"{name}::bin0"], want)
+        bins_end = ds.d + bins * len(numeric)
+        decoded = {
+            cols.start: codes for codes, cols in indicator_blocks(out)
+            if cols.start < bins_end
+        }
+        assert decoded.keys() == want.keys()
+        for start, codes in want.items():
+            np.testing.assert_array_equal(decoded[start], codes)
 
     def test_take_subsets_rows(self):
         out = expand_features(self.make(), bins=3)
@@ -726,10 +774,11 @@ class TestDesignParity:
         np.testing.assert_allclose(stds, x.std(axis=0), rtol=0, atol=tol)
         constant = x.std(axis=0) == 0.0
         np.testing.assert_array_equal(stds == 0.0, constant)
-        names = np.array(design.feature_names)
-        assert "const" in names[constant]
-        assert {"gapped::bin1", "gapped::bin2"} <= set(names[constant])
-        assert "flag" not in names[constant]
+        # columns: a, gapped, flag, const, then the 4 bins of a and of
+        # gapped; gapped's bins 1 and 2 (columns 9 and 10) hold no row
+        constant_cols = set(np.flatnonzero(constant))
+        assert {3, 9, 10} <= constant_cols
+        assert 2 not in constant_cols
 
     def test_hessian_vector_matches_central_differences(self):
         design = gapped_design()
@@ -762,7 +811,7 @@ class TestDesignParity:
     )
     def test_fit_predict_matches_dense_dataset(self, make, folds):
         design = make()
-        reference = Dataset(dense(design), design.treatment, design.feature_names)
+        reference = raw_design(dense(design), design.treatment)
         config = Config(cross_fit_folds=folds, seed=5)
         got = fit_predict(design, config)
         want = fit_predict(reference, config)
