@@ -1,5 +1,6 @@
 """Logistic propensity model: loss, fit, predict, metrics, expansion."""
 
+import hashlib
 import logging
 import math
 import re
@@ -896,3 +897,48 @@ class TestInexactNewton:
         assert all(result.converged)
         for train, model in fits:
             assert_gradient_below_tolerance(model, train)
+
+
+class TestPasslessFit:
+    """A design without row passes keeps the plain-CG arithmetic bit for bit.
+
+    The sha256 digests of the scores and the CG iteration counts were
+    recorded before the fit gained its pass blocks; they hold only if
+    every operation on a raw design is unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "spec, seed, digest, cg_iters",
+        [
+            pytest.param(
+                # the confounded_raw benchmark recipe at n=2000
+                SynthSpec(
+                    n=2000,
+                    noise_covariates=8,
+                    logit_intercept=-4.0,
+                    logit_weights=(0.1, -0.8) + (0.0,) * 8,
+                    carve=DEFAULT_CARVE,
+                    carve_mode="reassign",
+                ),
+                1,
+                "0e144f180f37a7d93098f47cb03d70ae"
+                "9cca6b7b3465b08423c54b703625522d",
+                (18,),
+                id="confounded_raw",
+            ),
+            pytest.param(
+                SynthSpec(),
+                0,
+                "fb63d1adb341155269dcff1a3bab7ca7"
+                "30f8fc8bc02fc592c0ec367dd530d3e7",
+                (4,),
+                id="default",
+            ),
+        ],
+    )
+    def test_scores_and_products_pinned(self, spec, seed, digest, cg_iters):
+        design = expand_features(generate(spec, seed=seed), 0)
+        assert design.passes == ()
+        result = fit_predict(design, Config())
+        assert result.cg_iters == cg_iters
+        assert hashlib.sha256(result.scores.tobytes()).hexdigest() == digest
