@@ -28,6 +28,17 @@ after ``max_iter`` steps, or at the first step where no halving keeps
 the loss from rising; the model records whether it converged and how
 many CG iterations each step took.
 
+The conjugate gradients are preconditioned by additive Schwarz (Smith,
+Bjorstad & Gropp, "Domain Decomposition", 1996) with one exact Hessian
+block per row pass of the design, rebuilt at every Newton step: the
+pass's cells, the bins of its one or two features wherever they sit,
+those features' raw columns and the intercept. Each block is solved
+through its diagonal cell part and the Schur complement onto its at
+most 2k + 3 other columns, from one ``np.bincount`` of the curvature
+and one per raw column over the pass's codes. Coordinates no block
+covers, constant columns among them, get the identity, so a design
+without passes runs plain CG.
+
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
 
@@ -70,6 +81,8 @@ _GRAD_TOL = 1e-8
 # exponent of the safeguard that keeps it from dropping too fast
 _FORCING_MAX = 0.5
 _FORCING_EXPONENT = (1.0 + 5.0 ** 0.5) / 2.0
+# least penalty of a pass block, relative to the total curvature
+_BLOCK_RIDGE = 1e-4
 
 # column cap of the design built by expand_features
 MAX_DESIGN_COLUMNS = 2048
@@ -133,13 +146,16 @@ class Design:
     bin columns of its grid row, ``rows.start + codes[i] // kb``, and of
     its grid column, ``cols.start + codes[i] % kb``; ``rows`` and
     ``cols`` are None when it does not, as in a bin pass, whose grid is
-    ``(k,)``.
+    ``(k,)``. ``pass_features`` holds, per pass, the indices of its raw
+    features: ``(a, b)`` for the pair whose cell codes are
+    ``codes_a * kb + codes_b``, ``(j,)`` for the bins of feature j.
     """
 
     raw: NDArray[np.float64]
     treatment: NDArray[np.int64]
     feature_names: tuple[str, ...]
     passes: tuple[tuple, ...] = ()
+    pass_features: tuple[tuple[int, ...], ...] = ()
 
     @property
     def n(self) -> int:
@@ -157,6 +173,7 @@ class Design:
             self.treatment[rows],
             self.feature_names,
             tuple((codes[rows], *rest) for codes, *rest in self.passes),
+            self.pass_features,
         )
 
 
@@ -335,25 +352,231 @@ def _hess_vec(
     return out
 
 
-def _newton_step(
-    hess_vec, grad: NDArray[np.float64], forcing: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
-    """Solve H s = grad by truncated conjugate gradients.
+class _PassBlocks:
+    """The exact Hessian blocks of row passes of one shape, and their solve.
 
-    CG stops once the residual r = grad - H s has norm at most
-    ``forcing`` |grad|, or max-norm at most half the gradient tolerance
-    of :func:`fit` (a full step then leaves a gradient the convergence
-    test can pass, so solving further only spends products), after
-    len(grad) iterations, or on non-positive curvature (possible only
-    without the penalty); if that comes before any progress, the
+    A pass's block holds its K cells, then m other columns: the m_f - 1
+    bins of those of its features that have bins (margins of its cell
+    grid, wherever they sit in the design), the intercept, and the
+    features' raw columns. Bins and intercept are functions of the
+    cell: ``at[b, c]`` lists the ones that are 1 at cell c of block b,
+    the intercept last, numbered ``b m_f`` on. A bin pass's cells are
+    its feature's bins, so there m_f is 1. The passes of a group share
+    K, m_f and their number of raw columns, so each step below runs
+    once for the whole group.
+
+    A standardized indicator column is ``s e - s mu 1``, so moving the
+    intercept coordinate by ``s mu`` times each indicator weight turns
+    the block into the Gram matrix of uncentered indicators. That
+    removes the rank-2 centering term of the cell rows: the cells couple
+    only through their diagonal ``s^2 h + ridge``, h the curvature summed
+    per cell. The raw columns get their curvature sums per cell from one
+    ``np.bincount`` each, so the cross terms are applied by a gather and
+    bincounts over the cells, and only the m x m Schur complement of the
+    cells is kept, inverted. Its indicator part is the indicator Gram
+    matrix at cell weights ``h ridge / (s^2 h + ridge)``, so it is formed
+    without cancellation. ``ridge`` is the penalty on every weight.
+    Constant columns are left out: a solve is 0 on them.
+    """
+
+    def __init__(self, group, x_std, raw_cols, curvature, ridge) -> None:
+        codes, self.at, raws, self.index, scale, self.shift = group
+        n_blocks, k, per = self.at.shape
+        n_fn = self.n_fn = int(self.at[0, 0, -1]) + 1
+        self.k = k
+        self.live = (scale != 0.0).astype(np.float64)
+        self.s, self.s_o = s, s_o = scale[:, :k], scale[:, k:]
+        h = np.stack([np.bincount(c, curvature, k) for c in codes])
+        self.hs = h * s
+        self.inv_d = 1.0 / (s * self.hs + ridge)
+        # curvature sums of the centered raw columns, per cell and paired
+        n_raw = raws.shape[1]
+        self.q = q = np.empty((n_blocks, k, n_raw))
+        gram = np.empty((n_blocks, n_raw, n_raw))
+        for b, (c, feats) in enumerate(zip(codes, raws)):
+            centered = [raw_cols[:, j] - x_std.means[j] for j in feats]
+            for a, xc in enumerate(centered):
+                weighted = curvature * xc
+                q[b, :, a] = np.bincount(c, weighted, k)
+                gram[b, a] = [weighted @ other for other in centered]
+        # the cells' Schur complement, scaled by s_o on both sides
+        rest = ridge * self.inv_d
+        m = n_fn + n_raw
+        schur = np.zeros((n_blocks, m, m))
+        weight = h * rest
+        # entry (b, i, j) of the stacked indicator Gram matrices
+        base = (n_fn * np.arange(n_blocks))[:, None]
+        for i in range(per):
+            for j in range(per):
+                schur[:, :n_fn, :n_fn] += np.bincount(
+                    (self.at[:, :, i] * n_fn + self.at[:, :, j] - base).ravel(),
+                    weight.ravel(),
+                    n_blocks * n_fn * n_fn,
+                ).reshape(n_blocks, n_fn, n_fn)
+        for a in range(n_raw):
+            schur[:, :n_fn, n_fn + a] = self._cell_sums(q[:, :, a] * rest)
+        schur[:, n_fn:, :n_fn] = schur[:, :n_fn, n_fn:].transpose(0, 2, 1)
+        schur[:, n_fn:, n_fn:] = gram - np.einsum(
+            "bka,bkc,bk->bac", q, q, s * s * self.inv_d
+        )
+        schur *= s_o[:, :, None]
+        schur *= s_o[:, None, :]
+        penalized = np.delete(np.arange(m), n_fn - 1)
+        schur[:, penalized, penalized] += ridge
+        self.schur_inv = np.linalg.inv(schur)
+
+    def _cell_sums(self, z):
+        """Per block, bin and intercept column, the sum of ``z`` over cells."""
+        per = self.at.shape[2]
+        return np.bincount(
+            self.at.ravel(), np.repeat(z, per), z.shape[0] * self.n_fn
+        ).reshape(-1, self.n_fn)
+
+    def solve(self, r):
+        """Each block's inverse times its row of ``r``, 0 on constant
+        columns."""
+        k, n_fn = self.k, self.n_fn
+        r = r * self.live
+        r += self.shift * r[:, k + n_fn - 1, None]
+        t = self.inv_d * r[:, :k]
+        coupled = np.concatenate(
+            [self._cell_sums(self.hs * t),
+             np.einsum("bk,bka->ba", self.s * t, self.q)],
+            axis=1,
+        )
+        y = np.empty_like(r)
+        y[:, k:] = np.einsum(
+            "bij,bj->bi", self.schur_inv, r[:, k:] - self.s_o * coupled
+        )
+        y_o = self.s_o * y[:, k:]
+        at_cells = y_o[:, :n_fn].ravel()[self.at]
+        y[:, :k] = t - self.inv_d * (
+            self.hs * at_cells.sum(2)
+            + self.s * np.einsum("bka,ba->bk", self.q, y_o[:, n_fn:])
+        )
+        y[:, k + n_fn - 1] += np.einsum("bi,bi->b", self.shift, y)
+        return y * self.live
+
+
+def _pass_groups(design: Design, x_std: _Standardized):
+    """The passes' blocks, grouped by shape, and where no block reaches.
+
+    Returns ``(groups, identity)``. A group holds, for passes whose
+    blocks have the same shape: their codes, and stacked per pass, the
+    bin and intercept columns ``at`` of each cell (see
+    :class:`_PassBlocks`), the raw features, the block's coordinates in
+    the parameter vector, their column scales (0 for a constant column,
+    1 for the intercept) and their intercept shifts ``s mu`` (0 for the
+    intercept and the raw columns). ``identity`` is 1 on every
+    coordinate that no block covers or whose column is constant, and 0
+    elsewhere. This layout is fixed for a fit; the blocks' numbers
+    follow the curvature.
+    """
+    d = design.d
+    scale = np.append(x_std.scale, 1.0)
+    shift = np.append(x_std.means * x_std.scale, 0.0)
+    bins = {}
+    for (_, cells, grid, rows, cols), feats in zip(
+        design.passes, design.pass_features
+    ):
+        if len(grid) == 1:
+            bins[feats[0]] = cells
+        else:
+            bins.update(
+                (j, margin) for j, margin in zip(feats, (rows, cols))
+                if margin is not None
+            )
+    groups = {}
+    for (codes, cells, grid, _, _), feats in zip(
+        design.passes, design.pass_features
+    ):
+        cell = np.arange(cells.stop - cells.start)
+        own = []
+        if len(grid) == 2:
+            own = [
+                (lev, bins[j])
+                for j, lev in zip(feats, (cell // grid[1], cell % grid[1]))
+                if j in bins
+            ]
+        starts = np.cumsum([0] + [b.stop - b.start for _, b in own])
+        pos = np.column_stack(
+            [lev + start for (lev, _), start in zip(own, starts)]
+            + [np.full(cell.size, starts[-1])]
+        )
+        index = np.concatenate(
+            [cell + cells.start]
+            + [np.arange(b.start, b.stop) for _, b in own]
+            + [[d], feats]
+        ).astype(np.intp)
+        moves = shift[index]
+        moves[-len(feats):] = 0.0
+        groups.setdefault((pos.shape, len(feats)), []).append(
+            (codes, pos, feats, index, scale[index], moves)
+        )
+    covered = np.zeros(d + 1, dtype=bool)
+    stacked = []
+    for members in groups.values():
+        codes, pos, *rest = zip(*members)
+        pos = np.array(pos)
+        # number the cells' columns over the blocks of the group
+        at = pos + (pos[0, 0, -1] + 1) * np.arange(len(pos))[:, None, None]
+        stacked.append((codes, at, *map(np.array, rest)))
+        covered[stacked[-1][3]] = True
+    return stacked, np.where(covered & (scale != 0.0), 0.0, 1.0)
+
+
+def _preconditioner(groups, identity, x_std, raw, curvature, l2_lambda):
+    """Additive Schwarz: the exact Hessian block of each pass, summed.
+
+    Returns ``r -> sum_b R_b^T H_b^-1 R_b r + identity * r`` at the given
+    curvature, or None (the identity) for a design without passes. A
+    block's penalty is at least ``_BLOCK_RIDGE`` times the total
+    curvature, since without one the block is singular.
+    """
+    ridge = max(l2_lambda, _BLOCK_RIDGE * curvature.sum())
+    if not groups or ridge == 0.0:
+        return None
+    blocks = [
+        _PassBlocks(group, x_std, raw, curvature, ridge) for group in groups
+    ]
+
+    def apply(r):
+        z = r * identity
+        for block in blocks:
+            z += np.bincount(
+                block.index.ravel(), block.solve(r[block.index]).ravel(),
+                z.size,
+            )
+        return z
+
+    return apply
+
+
+def _newton_step(
+    hess_vec, grad: NDArray[np.float64], forcing: float, precondition=None
+) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
+    """Solve H s = grad by truncated preconditioned conjugate gradients.
+
+    ``precondition`` maps a residual r to M r for a symmetric positive
+    definite M close to the inverse Hessian; None is the identity, which
+    is plain CG. CG stops once the residual r = grad - H s has norm at
+    most ``forcing`` |grad|, or max-norm at most half the gradient
+    tolerance of :func:`fit` (a full step then leaves a gradient the
+    convergence test can pass, so solving further only spends products),
+    after len(grad) iterations, or on non-positive curvature (possible
+    only without the penalty); if that comes before any progress, the
     gradient itself is the step, with the gradient as its residual
     (H grad is 0 up to rounding there). Returns the step, its residual
     and the number of Hessian-vector products spent.
     """
+    if precondition is None:
+        def precondition(r):
+            return r
     step = np.zeros_like(grad)
     resid = grad.copy()
-    direction = resid.copy()
+    direction = precondition(resid).copy()
     rr = resid @ resid
+    rz = resid @ direction
     tol = forcing * np.sqrt(rr)
     iters = 0
     while (
@@ -366,11 +589,13 @@ def _newton_step(
         dhd = direction @ hd
         if dhd <= 0.0:
             break
-        alpha = rr / dhd
+        alpha = rz / dhd
         step += alpha * direction
         resid -= alpha * hd
-        rr, rr_old = resid @ resid, rr
-        direction = resid + (rr / rr_old) * direction
+        rr = resid @ resid
+        z = precondition(resid)
+        rz, rz_old = resid @ z, rz
+        direction = z + (rz / rz_old) * direction
     if not step.any():
         return grad, grad, iters
     return step, resid, iters
@@ -413,9 +638,13 @@ def fit(
 
     Each Newton step is a truncated conjugate-gradient solve from
     Hessian-vector products on the row passes, so no n x D matrix is
-    formed. The solve stops at the Eisenstat-Walker forcing term (see
-    the module docstring) or once the residual max-norm is at most half
-    the gradient tolerance; ``cg_iters`` records its iterations per
+    formed. It is preconditioned by the exact Hessian block of each
+    pass, rebuilt from the step's curvature; the blocks keep O(cells +
+    m^2) numbers each, m the pass's bin, raw and intercept columns, and
+    a design without passes runs plain CG. The solve stops at the
+    Eisenstat-Walker forcing term (see the module docstring) or once the
+    residual max-norm is at most half the gradient tolerance;
+    ``cg_iters`` records its iterations (Hessian-vector products) per
     step. Stops when the gradient max-norm drops below 1e-8
     (converged), after ``max_iter`` Newton steps, or at the first step
     whose halvings all leave the loss higher; the last two are reported
@@ -438,6 +667,7 @@ def fit(
     means, stds = _column_moments(design)
     constant = stds == 0.0
     x_std = _Standardized(design, means, stds)
+    groups, identity = _pass_groups(design, x_std)
     labels = design.treatment.astype(np.float64)
     n = design.n
     params = np.zeros(design.d + 1, dtype=np.float64)
@@ -449,10 +679,14 @@ def fit(
     stop = f"after max_iter={max_iter} Newton steps"
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
+        curvature = p * (1.0 - p) / n
         step, resid, iters = _newton_step(
-            partial(_hess_vec, x_std, p * (1.0 - p) / n, l2_lambda),
+            partial(_hess_vec, x_std, curvature, l2_lambda),
             grad,
             forcing,
+            _preconditioner(
+                groups, identity, x_std, design.raw, curvature, l2_lambda
+            ),
         )
         cg_iters.append(iters)
         # halve the step until the loss stops increasing
@@ -653,6 +887,7 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
             f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
         )
     pairs = []
+    pair_features = []
     for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
         if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
             logger.warning(
@@ -667,7 +902,11 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
             unabsorbed.pop(a, (None, None))[1],
             unabsorbed.pop(b, (None, None))[1],
         ))
+        pair_features.append((a, b))
         n_cols += ka * kb
     lone = [(codes, cells, (bins,), None, None)
             for codes, cells in unabsorbed.values()]
-    return Design(feats, dataset.treatment, names, tuple(lone + pairs))
+    return Design(
+        feats, dataset.treatment, names, tuple(lone + pairs),
+        tuple([(j,) for j in unabsorbed] + pair_features),
+    )

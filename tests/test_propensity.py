@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -548,6 +549,7 @@ class TestExpandFeatures:
             (slice(28, 36), (4, 2), None, None),
             (slice(36, 44), (4, 2), None, None),
         ]
+        assert out.pass_features == ((0, 1), (0, 2), (1, 2))
 
     def test_pair_cells_partition_rows(self):
         ds = self.make()
@@ -717,6 +719,20 @@ def dense_standardized(design):
     return (x - means) / np.where(stds == 0.0, 1.0, stds), stds == 0.0
 
 
+def record_fits(monkeypatch):
+    """The (training design, model) of every later ``fit``, in call order."""
+    real = propensity.fit
+    fits = []
+
+    def recording(train, *args, **kwargs):
+        model = real(train, *args, **kwargs)
+        fits.append((train, model))
+        return model
+
+    monkeypatch.setattr(propensity, "fit", recording)
+    return fits
+
+
 class TestDesignParity:
     """The level-code operator against the materialized dense design."""
 
@@ -738,12 +754,16 @@ class TestDesignParity:
         assert [p[1:] for p in design.passes] == [
             (bins[8], (16,), None, None)
         ] + layout
+        assert design.pass_features == (
+            ((9,),) + tuple((0, b) for b in range(1, 9))
+        )
 
     def test_take_keeps_pass_layout(self):
         design = capped_design()
         rows = np.array([3, 1, 4])
         sub = design.take(rows)
         assert [p[1:] for p in sub.passes] == [p[1:] for p in design.passes]
+        assert sub.pass_features == design.pass_features
         for got, full in zip(sub.passes, design.passes):
             np.testing.assert_array_equal(got[0], full[0][rows])
 
@@ -810,14 +830,29 @@ class TestDesignParity:
             pytest.param(capped_design, 3, id="capped-3"),
         ],
     )
-    def test_fit_predict_matches_dense_dataset(self, make, folds):
+    def test_fit_predict_matches_dense_dataset(self, make, folds, monkeypatch):
         design = make()
         reference = raw_design(dense(design), design.treatment)
         config = Config(cross_fit_folds=folds, seed=5)
+        fits = record_fits(monkeypatch)
         got = fit_predict(design, config)
         want = fit_predict(reference, config)
-        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-6)
         assert got.folds == want.folds == folds
+        if make is gapped_design:
+            np.testing.assert_allclose(
+                got.scores, want.scores, rtol=0, atol=1e-6
+            )
+            return
+        # The dense reference has no passes, so its fit runs plain CG,
+        # while the level-code fit is preconditioned: the two stop at
+        # different points of the 1e-8 gradient ball. With about 133
+        # training rows for 1978 columns at lambda 1e-4 that ball is wide
+        # in scores, so each model is checked on the other's design.
+        for (train, model), (dense_train, dense_model) in zip(
+            fits[:folds], fits[folds:]
+        ):
+            assert_gradient_below_tolerance(model, dense_train)
+            assert_gradient_below_tolerance(dense_model, train)
 
     def test_model_spans_every_design_column(self):
         design = gapped_design()
@@ -853,7 +888,7 @@ def ten_covariate_design():
 
 
 class TestInexactNewton:
-    """The forcing term spends fewer products; convergence stays real."""
+    """The forcing term and the pass blocks cut products; convergence holds."""
 
     def test_hessian_products_counted_and_cut(
         self, ten_covariate_design, monkeypatch
@@ -869,9 +904,9 @@ class TestInexactNewton:
         model = fit(ten_covariate_design)
         assert model.converged
         assert len(calls) == sum(model.cg_iters)
-        # the forcing term min(0.5, sqrt(|g|)) |g| spent 928 products here
-        # in 10 Newton steps
-        assert len(calls) <= 0.75 * 928
+        # plain CG at the Eisenstat-Walker forcing term spent 494
+        # products here in 10 Newton steps, the pass blocks 83
+        assert len(calls) <= 124
 
     def test_capped_fit_convergence_is_real(self, ten_covariate_design):
         assert_gradient_below_tolerance(
@@ -883,20 +918,127 @@ class TestInexactNewton:
         spec = SynthSpec(n=20000, carve=DEFAULT_CARVE, carve_mode="reassign")
         design = expand_features(generate(spec, seed=1), 16)
         assert design.d == 290
-        real = propensity.fit
-        fits = []
-
-        def recording(train, *args, **kwargs):
-            model = real(train, *args, **kwargs)
-            fits.append((train, model))
-            return model
-
-        monkeypatch.setattr(propensity, "fit", recording)
+        fits = record_fits(monkeypatch)
         result = fit_predict(design, Config(cross_fit_folds=5, seed=0))
         assert len(fits) == 5
         assert all(result.converged)
         for train, model in fits:
             assert_gradient_below_tolerance(model, train)
+
+
+def dense_hessian(design, curvature, lam):
+    """The Hessian of the loss on the dense standardized design."""
+    x_std, _ = dense_standardized(design)
+    x1 = np.column_stack([x_std, np.ones(design.n)])
+    penalty = np.append(np.full(design.d, lam), 0.0)
+    return x1.T @ (curvature[:, None] * x1) + np.diag(penalty)
+
+
+def pass_blocks(design, lam, seed=31):
+    """The passes' blocks at a random point, and the dense Hessian there."""
+    op = propensity._Standardized(design, *propensity._column_moments(design))
+    rng = np.random.default_rng(seed)
+    params = 0.3 * rng.standard_normal(design.d + 1)
+    p = propensity._sigmoid(op @ params[:-1] + params[-1])
+    curvature = p * (1.0 - p) / design.n
+    ridge = max(lam, propensity._BLOCK_RIDGE * curvature.sum())
+    groups, _ = propensity._pass_groups(design, op)
+    blocks = [
+        propensity._PassBlocks(group, op, design.raw, curvature, ridge)
+        for group in groups
+    ]
+    return blocks, dense_hessian(design, curvature, ridge), rng
+
+
+class TestPassBlocks:
+    """The exact per-pass blocks that precondition each Newton step."""
+
+    def assert_solves_match_dense(self, design, lam):
+        blocks, hessian, rng = pass_blocks(design, lam)
+        assert sum(len(block.index) for block in blocks) == len(design.passes)
+        for block in blocks:
+            r = rng.standard_normal(block.index.shape)
+            got = block.solve(r)
+            for index, live, r_row, got_row in zip(
+                block.index, block.live == 1.0, r, got
+            ):
+                sub = index[live]
+                want = np.linalg.solve(hessian[np.ix_(sub, sub)], r_row[live])
+                err = np.linalg.norm(got_row[live] - want)
+                assert err <= 1e-10 * np.linalg.norm(want)
+                assert (got_row[~live] == 0.0).all()
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.5])
+    @pytest.mark.parametrize(
+        "make", [gapped_design, capped_design], ids=["gapped", "capped"]
+    )
+    def test_block_solve_matches_dense(self, make, lam):
+        self.assert_solves_match_dense(make(), lam)
+
+    @pytest.mark.parametrize(
+        "make", [gapped_design, capped_design], ids=["gapped", "capped"]
+    )
+    def test_block_solve_without_penalty(self, make):
+        # a block's cells sum to the intercept and its bins are sums of
+        # its cells, so without a penalty it is singular; it is solved at
+        # the ridge floor instead, which the dense block gets too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_solves_match_dense(make(), 0.0)
+
+    def test_designs_hold_every_kind_of_block(self):
+        gapped, capped = gapped_design(), capped_design()
+        grids = {p[2] for p in gapped.passes + capped.passes}
+        assert grids == {(16,), (16, 2), (16, 16), (4, 4), (4, 2)}
+        # a constant raw column, a binary one and empty bins
+        _, constant = dense_standardized(gapped)
+        assert constant[3] and not constant[2]
+        assert constant[gapped.d - 20:].any()
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["d2", "binary"])
+    def test_one_block_spends_one_product_per_step(self, binary):
+        # one pair pass: its block covers every non-constant column
+        rng = np.random.default_rng(32)
+        features = rng.uniform(0, 1, (3000, 2))
+        if binary:
+            features[:, 1] = features[:, 1] < 0.3
+        z = 2.0 * features[:, 0] - 1.0 + features[:, 1]
+        treatment = (rng.random(3000) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+        design = expand_features(Dataset(features, treatment), 16)
+        assert len(design.passes) == 1
+        model = fit(design)
+        assert model.converged
+        assert model.cg_iters == (1,) * model.n_iter
+
+    def test_fit_memory_bounded_by_codes_and_raw(self, ten_covariate_design):
+        design = ten_covariate_design
+        held = design.raw.nbytes + sum(p[0].nbytes for p in design.passes)
+        tracemalloc.start()
+        try:
+            fit(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # plain CG peaked at 0.72x; the blocks keep O(cells + m^2) each
+        assert peak <= 1.5 * held
+
+    def test_lone_passes_beat_plain_cg(self, monkeypatch):
+        # 120 numeric columns fill the cap with bins: one pass each, no
+        # pair, 2040 columns. At 2000 rows, where the columns outnumber
+        # the rows, the blocks spent 135-162 products against plain CG's
+        # 109-130 on three seeds; from about twice as many rows on they win
+        rng = np.random.default_rng(33)
+        features = rng.uniform(0, 1, (4000, 120))
+        z = features[:, 0] - features[:, 1]
+        treatment = (rng.random(4000) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+        design = expand_features(Dataset(features, treatment), 16)
+        assert [p[2] for p in design.passes] == [(16,)] * 120
+        blocked = fit(design)
+        monkeypatch.setattr(propensity, "_preconditioner", lambda *a: None)
+        plain = fit(design)
+        assert blocked.converged and plain.converged
+        # 130 against 288
+        assert sum(blocked.cg_iters) < 0.75 * sum(plain.cg_iters)
 
 
 class TestPasslessFit:
