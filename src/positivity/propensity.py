@@ -70,6 +70,7 @@ from itertools import combinations
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _schwarz
 from .data import Config, Dataset
 
 logger = logging.getLogger(__name__)
@@ -81,8 +82,6 @@ _GRAD_TOL = 1e-8
 # exponent of the safeguard that keeps it from dropping too fast
 _FORCING_MAX = 0.5
 _FORCING_EXPONENT = (1.0 + 5.0 ** 0.5) / 2.0
-# least penalty of a pass block, relative to the total curvature
-_BLOCK_RIDGE = 1e-4
 
 # column cap of the design built by expand_features
 MAX_DESIGN_COLUMNS = 2048
@@ -352,206 +351,6 @@ def _hess_vec(
     return out
 
 
-class _PassBlocks:
-    """The exact Hessian blocks of row passes of one shape, and their solve.
-
-    A pass's block holds its K cells, then m other columns: the m_f - 1
-    bins of those of its features that have bins (margins of its cell
-    grid, wherever they sit in the design), the intercept, and the
-    features' raw columns. Bins and intercept are functions of the
-    cell: ``at[b, c]`` lists the ones that are 1 at cell c of block b,
-    the intercept last, numbered ``b m_f`` on. A bin pass's cells are
-    its feature's bins, so there m_f is 1. The passes of a group share
-    K, m_f and their number of raw columns, so each step below runs
-    once for the whole group.
-
-    A standardized indicator column is ``s e - s mu 1``, so moving the
-    intercept coordinate by ``s mu`` times each indicator weight turns
-    the block into the Gram matrix of uncentered indicators. That
-    removes the rank-2 centering term of the cell rows: the cells couple
-    only through their diagonal ``s^2 h + ridge``, h the curvature summed
-    per cell. The raw columns get their curvature sums per cell from one
-    ``np.bincount`` each, so the cross terms are applied by a gather and
-    bincounts over the cells, and only the m x m Schur complement of the
-    cells is kept, inverted. Its indicator part is the indicator Gram
-    matrix at cell weights ``h ridge / (s^2 h + ridge)``, so it is formed
-    without cancellation. ``ridge`` is the penalty on every weight.
-    Constant columns are left out: a solve is 0 on them.
-    """
-
-    def __init__(self, group, x_std, raw_cols, curvature, ridge) -> None:
-        codes, self.at, raws, self.index, scale, self.shift = group
-        n_blocks, k, per = self.at.shape
-        n_fn = self.n_fn = int(self.at[0, 0, -1]) + 1
-        self.k = k
-        self.live = (scale != 0.0).astype(np.float64)
-        self.s, self.s_o = s, s_o = scale[:, :k], scale[:, k:]
-        h = np.stack([np.bincount(c, curvature, k) for c in codes])
-        self.hs = h * s
-        self.inv_d = 1.0 / (s * self.hs + ridge)
-        # curvature sums of the centered raw columns, per cell and paired
-        n_raw = raws.shape[1]
-        self.q = q = np.empty((n_blocks, k, n_raw))
-        gram = np.empty((n_blocks, n_raw, n_raw))
-        for b, (c, feats) in enumerate(zip(codes, raws)):
-            centered = [raw_cols[:, j] - x_std.means[j] for j in feats]
-            for a, xc in enumerate(centered):
-                weighted = curvature * xc
-                q[b, :, a] = np.bincount(c, weighted, k)
-                gram[b, a] = [weighted @ other for other in centered]
-        # the cells' Schur complement, scaled by s_o on both sides
-        rest = ridge * self.inv_d
-        m = n_fn + n_raw
-        schur = np.zeros((n_blocks, m, m))
-        weight = h * rest
-        # entry (b, i, j) of the stacked indicator Gram matrices
-        base = (n_fn * np.arange(n_blocks))[:, None]
-        for i in range(per):
-            for j in range(per):
-                schur[:, :n_fn, :n_fn] += np.bincount(
-                    (self.at[:, :, i] * n_fn + self.at[:, :, j] - base).ravel(),
-                    weight.ravel(),
-                    n_blocks * n_fn * n_fn,
-                ).reshape(n_blocks, n_fn, n_fn)
-        for a in range(n_raw):
-            schur[:, :n_fn, n_fn + a] = self._cell_sums(q[:, :, a] * rest)
-        schur[:, n_fn:, :n_fn] = schur[:, :n_fn, n_fn:].transpose(0, 2, 1)
-        schur[:, n_fn:, n_fn:] = gram - np.einsum(
-            "bka,bkc,bk->bac", q, q, s * s * self.inv_d
-        )
-        schur *= s_o[:, :, None]
-        schur *= s_o[:, None, :]
-        penalized = np.delete(np.arange(m), n_fn - 1)
-        schur[:, penalized, penalized] += ridge
-        self.schur_inv = np.linalg.inv(schur)
-
-    def _cell_sums(self, z):
-        """Per block, bin and intercept column, the sum of ``z`` over cells."""
-        per = self.at.shape[2]
-        return np.bincount(
-            self.at.ravel(), np.repeat(z, per), z.shape[0] * self.n_fn
-        ).reshape(-1, self.n_fn)
-
-    def solve(self, r):
-        """Each block's inverse times its row of ``r``, 0 on constant
-        columns."""
-        k, n_fn = self.k, self.n_fn
-        r = r * self.live
-        r += self.shift * r[:, k + n_fn - 1, None]
-        t = self.inv_d * r[:, :k]
-        coupled = np.concatenate(
-            [self._cell_sums(self.hs * t),
-             np.einsum("bk,bka->ba", self.s * t, self.q)],
-            axis=1,
-        )
-        y = np.empty_like(r)
-        y[:, k:] = np.einsum(
-            "bij,bj->bi", self.schur_inv, r[:, k:] - self.s_o * coupled
-        )
-        y_o = self.s_o * y[:, k:]
-        at_cells = y_o[:, :n_fn].ravel()[self.at]
-        y[:, :k] = t - self.inv_d * (
-            self.hs * at_cells.sum(2)
-            + self.s * np.einsum("bka,ba->bk", self.q, y_o[:, n_fn:])
-        )
-        y[:, k + n_fn - 1] += np.einsum("bi,bi->b", self.shift, y)
-        return y * self.live
-
-
-def _pass_groups(design: Design, x_std: _Standardized):
-    """The passes' blocks, grouped by shape, and where no block reaches.
-
-    Returns ``(groups, identity)``. A group holds, for passes whose
-    blocks have the same shape: their codes, and stacked per pass, the
-    bin and intercept columns ``at`` of each cell (see
-    :class:`_PassBlocks`), the raw features, the block's coordinates in
-    the parameter vector, their column scales (0 for a constant column,
-    1 for the intercept) and their intercept shifts ``s mu`` (0 for the
-    intercept and the raw columns). ``identity`` is 1 on every
-    coordinate that no block covers or whose column is constant, and 0
-    elsewhere. This layout is fixed for a fit; the blocks' numbers
-    follow the curvature.
-    """
-    d = design.d
-    scale = np.append(x_std.scale, 1.0)
-    shift = np.append(x_std.means * x_std.scale, 0.0)
-    bins = {}
-    for (_, cells, grid, rows, cols), feats in zip(
-        design.passes, design.pass_features
-    ):
-        if len(grid) == 1:
-            bins[feats[0]] = cells
-        else:
-            bins.update(
-                (j, margin) for j, margin in zip(feats, (rows, cols))
-                if margin is not None
-            )
-    groups = {}
-    for (codes, cells, grid, _, _), feats in zip(
-        design.passes, design.pass_features
-    ):
-        cell = np.arange(cells.stop - cells.start)
-        own = []
-        if len(grid) == 2:
-            own = [
-                (lev, bins[j])
-                for j, lev in zip(feats, (cell // grid[1], cell % grid[1]))
-                if j in bins
-            ]
-        starts = np.cumsum([0] + [b.stop - b.start for _, b in own])
-        pos = np.column_stack(
-            [lev + start for (lev, _), start in zip(own, starts)]
-            + [np.full(cell.size, starts[-1])]
-        )
-        index = np.concatenate(
-            [cell + cells.start]
-            + [np.arange(b.start, b.stop) for _, b in own]
-            + [[d], feats]
-        ).astype(np.intp)
-        moves = shift[index]
-        moves[-len(feats):] = 0.0
-        groups.setdefault((pos.shape, len(feats)), []).append(
-            (codes, pos, feats, index, scale[index], moves)
-        )
-    covered = np.zeros(d + 1, dtype=bool)
-    stacked = []
-    for members in groups.values():
-        codes, pos, *rest = zip(*members)
-        pos = np.array(pos)
-        # number the cells' columns over the blocks of the group
-        at = pos + (pos[0, 0, -1] + 1) * np.arange(len(pos))[:, None, None]
-        stacked.append((codes, at, *map(np.array, rest)))
-        covered[stacked[-1][3]] = True
-    return stacked, np.where(covered & (scale != 0.0), 0.0, 1.0)
-
-
-def _preconditioner(groups, identity, x_std, raw, curvature, l2_lambda):
-    """Additive Schwarz: the exact Hessian block of each pass, summed.
-
-    Returns ``r -> sum_b R_b^T H_b^-1 R_b r + identity * r`` at the given
-    curvature, or None (the identity) for a design without passes. A
-    block's penalty is at least ``_BLOCK_RIDGE`` times the total
-    curvature, since without one the block is singular.
-    """
-    ridge = max(l2_lambda, _BLOCK_RIDGE * curvature.sum())
-    if not groups or ridge == 0.0:
-        return None
-    blocks = [
-        _PassBlocks(group, x_std, raw, curvature, ridge) for group in groups
-    ]
-
-    def apply(r):
-        z = r * identity
-        for block in blocks:
-            z += np.bincount(
-                block.index.ravel(), block.solve(r[block.index]).ravel(),
-                z.size,
-            )
-        return z
-
-    return apply
-
-
 def _newton_step(
     hess_vec, grad: NDArray[np.float64], forcing: float, precondition=None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
@@ -667,7 +466,7 @@ def fit(
     means, stds = _column_moments(design)
     constant = stds == 0.0
     x_std = _Standardized(design, means, stds)
-    groups, identity = _pass_groups(design, x_std)
+    groups, identity = _schwarz.pass_groups(design, x_std)
     labels = design.treatment.astype(np.float64)
     n = design.n
     params = np.zeros(design.d + 1, dtype=np.float64)
@@ -679,12 +478,14 @@ def fit(
     stop = f"after max_iter={max_iter} Newton steps"
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
-        curvature = p * (1.0 - p) / n
+        curvature = 1.0 - p
+        curvature *= p
+        curvature /= n
         step, resid, iters = _newton_step(
             partial(_hess_vec, x_std, curvature, l2_lambda),
             grad,
             forcing,
-            _preconditioner(
+            _schwarz.preconditioner(
                 groups, identity, x_std, design.raw, curvature, l2_lambda
             ),
         )

@@ -25,7 +25,7 @@ from positivity.propensity import (
     logistic_loss_grad,
     predict,
 )
-from positivity import propensity
+from positivity import _schwarz, propensity
 from positivity.synth import DEFAULT_CARVE
 
 from oracles import reference_sigmoid, reference_softplus
@@ -941,10 +941,10 @@ def pass_blocks(design, lam, seed=31):
     params = 0.3 * rng.standard_normal(design.d + 1)
     p = propensity._sigmoid(op @ params[:-1] + params[-1])
     curvature = p * (1.0 - p) / design.n
-    ridge = max(lam, propensity._BLOCK_RIDGE * curvature.sum())
-    groups, _ = propensity._pass_groups(design, op)
+    ridge = max(lam, _schwarz.BLOCK_RIDGE * curvature.sum())
+    groups, _ = _schwarz.pass_groups(design, op)
     blocks = [
-        propensity._PassBlocks(group, op, design.raw, curvature, ridge)
+        _schwarz.PassBlocks(group, op, design.raw, curvature, ridge)
         for group in groups
     ]
     return blocks, dense_hessian(design, curvature, ridge), rng
@@ -1034,7 +1034,7 @@ class TestPassBlocks:
         design = expand_features(Dataset(features, treatment), 16)
         assert [p[2] for p in design.passes] == [(16,)] * 120
         blocked = fit(design)
-        monkeypatch.setattr(propensity, "_preconditioner", lambda *a: None)
+        monkeypatch.setattr(_schwarz, "preconditioner", lambda *a: None)
         plain = fit(design)
         assert blocked.converged and plain.converged
         # 130 against 288
