@@ -478,8 +478,9 @@ def fit(
     stop = f"after max_iter={max_iter} Newton steps"
     while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
-        curvature = 1.0 - p
-        curvature *= p
+        # p (1 - p) / n, written over p, which the line search replaces
+        curvature = p
+        curvature *= 1.0 - p
         curvature /= n
         step, resid, iters = _newton_step(
             partial(_hess_vec, x_std, curvature, l2_lambda),
