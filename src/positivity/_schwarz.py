@@ -19,9 +19,9 @@ have one shape form a group, and each operation runs once per group.
 
 The blocks use elementwise numpy, ``np.bincount`` and vector dot
 products only; their small dense inverses are Gauss-Jordan eliminations.
-A LAPACK inverse was as fast, but its first call in a process raised the
-peak resident memory of a 20,000-row, 5-fold benchmark run by 1.5 MiB,
-about 4%.
+A LAPACK inverse was faster for a single block, but its first call in a
+process added 0.5 to 0.8 MiB of resident memory (OpenBLAS code and
+buffers), about 2% of the peak of a benchmark run.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ class PassBlocks:
                     own[a] = weighted[a] @ centered
                 if a:
                     gram[b, 0, 1] = gram[b, 1, 0] = weighted[0] @ centered
-                first = feats[0]
                 q[b, :, a] = np.bincount(c, weighted[a], k)
                 gram[b, a, a] = own[a]
+            first = feats[0]
         del centered, weighted
         # the cells' Schur complement, scaled by s_o on both sides
         rest = ridge * self.inv_d
@@ -198,7 +198,8 @@ class PassBlocks:
 def pass_groups(design: Design, x_std):
     """The passes' blocks, grouped by shape, and where no block reaches.
 
-    Returns ``(groups, identity)``. A group holds, for passes whose
+    ``x_std`` is the fit's standardized design, for its column means and
+    scales. Returns ``(groups, identity)``. A group holds, for passes whose
     blocks have the same shape: their codes, and stacked per pass, the
     bin and intercept columns ``at`` of each cell (see
     :class:`PassBlocks`), the raw features, the block's coordinates in
@@ -247,7 +248,10 @@ def pass_groups(design: Design, x_std):
         ).astype(np.intp)
         moves = shift[index]
         moves[-len(feats):] = 0.0
-        groups.setdefault((pos.shape, len(feats)), []).append(
+        # the shape, and where the first feature's bins, the second's and
+        # the intercept end
+        shape = (pos.shape, tuple(pos.max(0)), len(feats))
+        groups.setdefault(shape, []).append(
             (codes, pos, feats, index, scale[index], moves)
         )
     covered = np.zeros(d + 1, dtype=bool)
@@ -262,14 +266,13 @@ def pass_groups(design: Design, x_std):
     return stacked, np.where(covered & (scale != 0.0), 0.0, 1.0)
 
 
-
 def preconditioner(groups, identity, x_std, raw, curvature, l2_lambda):
     """Additive Schwarz: the exact Hessian block of each pass, summed.
 
     Returns ``r -> sum_b R_b^T H_b^-1 R_b r + identity * r`` at the given
-    curvature, or None (the identity) for a design without passes. A
-    block's penalty is at least ``BLOCK_RIDGE`` times the total
-    curvature.
+    curvature, or None (the identity) for a design without passes, or
+    when neither penalty nor curvature is left. A block's penalty is at
+    least ``BLOCK_RIDGE`` times the total curvature.
     """
     ridge = max(l2_lambda, BLOCK_RIDGE * curvature.sum())
     if not groups or ridge == 0.0:

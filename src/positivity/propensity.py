@@ -32,12 +32,12 @@ The conjugate gradients are preconditioned by additive Schwarz (Smith,
 Bjorstad & Gropp, "Domain Decomposition", 1996) with one exact Hessian
 block per row pass of the design, rebuilt at every Newton step: the
 pass's cells, the bins of its one or two features wherever they sit,
-those features' raw columns and the intercept. Each block is solved
-through its diagonal cell part and the Schur complement onto its at
-most 2k + 3 other columns, from one ``np.bincount`` of the curvature
-and one per raw column over the pass's codes. Coordinates no block
-covers, constant columns among them, get the identity, so a design
-without passes runs plain CG.
+those features' raw columns and the intercept (:mod:`._schwarz`). Each
+block is solved through its diagonal cell part and the Schur complement
+onto its at most 2k + 3 other columns, from one ``np.bincount`` of the
+curvature and one per raw column over the pass's codes. Coordinates no
+block covers, constant columns among them, get the identity, so a
+design without passes runs plain CG, bit for bit.
 
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
