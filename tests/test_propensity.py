@@ -990,10 +990,10 @@ class TestPassBlocks:
         gapped, capped = gapped_design(), capped_design()
         grids = {p[2] for p in gapped.passes + capped.passes}
         assert grids == {(16,), (16, 2), (16, 16), (4, 4), (4, 2)}
-        # a constant raw column, a binary one and empty bins
+        # the constant raw column const (3), the binary flag (2) and
+        # gapped's empty bins 1 and 2 (columns 9 and 10)
         _, constant = dense_standardized(gapped)
-        assert constant[3] and not constant[2]
-        assert constant[gapped.d - 20:].any()
+        assert constant[[3, 9, 10]].all() and not constant[2]
 
     @pytest.mark.parametrize("binary", [False, True], ids=["d2", "binary"])
     def test_one_block_spends_one_product_per_step(self, binary):
@@ -1026,7 +1026,8 @@ class TestPassBlocks:
         # 120 numeric columns fill the cap with bins: one pass each, no
         # pair, 2040 columns. At 2000 rows, where the columns outnumber
         # the rows, the blocks spent 135-162 products against plain CG's
-        # 109-130 on three seeds; from about twice as many rows on they win
+        # 105-130 on six data draws; from about twice as many rows on
+        # they win
         rng = np.random.default_rng(33)
         features = rng.uniform(0, 1, (4000, 120))
         z = features[:, 0] - features[:, 1]
