@@ -172,24 +172,25 @@ class PassBlocks:
         r = r * self.live
         r += self.shift * r[:, k + n_fn - 1, None]
         t = self.inv_d * r[:, :k]
+        # matrix-vector products only: np.matmul runs them as BLAS gemv
         coupled = np.concatenate(
             [self._cell_sums(self.hs * t),
-             ((self.s * t)[:, :, None] * self.q).sum(1)],
+             np.matmul((self.s * t)[:, None], self.q)[:, 0]],
             axis=1,
         )
         v = r[:, k:] - self.s_o * coupled
         y = np.empty_like(r)
         y_o = y[:, k:]
-        trail = v[:, p:] - (self.lead * v[:, :p, None]).sum(1)
-        y_o[:, p:] = (self.trail_inv * trail[:, None, :]).sum(2)
+        trail = v[:, p:] - np.matmul(v[:, None, :p], self.lead)[:, 0]
+        y_o[:, p:] = np.matmul(self.trail_inv, trail[:, :, None])[:, :, 0]
         y_o[:, :p] = (
             self.inv_lead * v[:, :p]
-            - (self.lead * y_o[:, None, p:]).sum(2)
+            - np.matmul(self.lead, y_o[:, p:, None])[:, :, 0]
         )
         z = self.s_o * y_o
         y[:, :k] = t - self.inv_d * (
             self.hs * z[:, :n_fn].ravel()[self.at].sum(2)
-            + self.s * (self.q * z[:, None, n_fn:]).sum(2)
+            + self.s * np.matmul(self.q, z[:, n_fn:, None])[:, :, 0]
         )
         y[:, k + n_fn - 1] += (self.shift * y).sum(1)
         return y * self.live
