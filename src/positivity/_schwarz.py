@@ -172,7 +172,8 @@ class PassBlocks:
         r = r * self.live
         r += self.shift * r[:, k + n_fn - 1, None]
         t = self.inv_d * r[:, :k]
-        # matrix-vector products only: np.matmul runs them as BLAS gemv
+        # matrix-vector products only: np.matmul runs them as BLAS gemv,
+        # which the design products load already, unlike gemm or LAPACK
         coupled = np.concatenate(
             [self._cell_sums(self.hs * t),
              np.matmul((self.s * t)[:, None], self.q)[:, 0]],
