@@ -2,7 +2,8 @@
 
 CSV input is UTF-8 with an optional BOM, RFC 4180 style, with a ``.``
 decimal separator and a header row. A file of plain unquoted numbers,
-with a 0/1 treatment column, is parsed by numpy's C reader in one call;
+with a 0/1 treatment column, is streamed line by line into numpy's C
+reader, so the load holds about the parsed table, not the file text;
 every other file, including every faulty one, is parsed by the
 standard library's csv module. Both give the same Dataset, and all
 diagnostics come from the csv-module path. Columns are parsed whole and
@@ -26,6 +27,8 @@ insensitive) and float spellings of exactly 0 or 1.
 from __future__ import annotations
 
 import csv
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +93,10 @@ class Dataset:
 
     Arrays are copied on construction and marked read-only, so a
     Dataset never aliases caller memory and cannot be mutated through
-    its fields. Construction only coerces shapes and dtypes; semantic
-    checks live in :func:`validate` so that a broken dataset can still
-    be inspected.
+    its fields; the loaders in this package hand over the arrays they
+    built through ``_adopt``, which skips the copy. Construction only
+    coerces shapes and dtypes; semantic checks live in :func:`validate`
+    so that a broken dataset can still be inspected.
     """
 
     features: NDArray[np.float64]
@@ -104,7 +108,32 @@ class Dataset:
         if feats.ndim == 1:
             feats = feats.reshape(-1, 1)
         treat = np.array(self.treatment, dtype=np.int64, copy=True).reshape(-1)
-        names = tuple(str(n) for n in self.feature_names)
+        self._freeze(feats, treat, self.feature_names)
+
+    @classmethod
+    def _adopt(
+        cls,
+        features: NDArray[np.float64],
+        treatment: NDArray[np.int64],
+        feature_names: tuple[str, ...],
+    ) -> Dataset:
+        """Wrap arrays the caller has just built and keeps no other use for.
+
+        ``features`` must be a C-contiguous float64 n×d matrix and
+        ``treatment`` an int64 vector, as the public constructor would
+        make them; they are marked read-only, not copied.
+        """
+        dataset = object.__new__(cls)
+        dataset._freeze(features, treatment, feature_names)
+        return dataset
+
+    def _freeze(
+        self,
+        feats: NDArray[np.float64],
+        treat: NDArray[np.int64],
+        feature_names: tuple[str, ...],
+    ) -> None:
+        names = tuple(str(n) for n in feature_names)
         if not names:
             names = tuple(f"x{j}" for j in range(feats.shape[1]))
         feats.setflags(write=False)
@@ -216,48 +245,59 @@ def _utf8_error(path: str) -> str:
 def _load_numeric(path: str, treatment_column: str) -> Dataset | None:
     """Parse an all-numeric CSV with ``np.loadtxt``, or return None.
 
-    numpy strips the same whitespace as ``float()`` and converts with the
-    same ``PyOS_string_to_double``, though it accepts fewer spellings
-    (no ``1_000``, no non-ASCII digits). A Dataset is returned only when
-    the csv-module path would return the same one bit for bit; any file
-    numpy could read differently, or that would raise, is declined.
+    The file is streamed into numpy's reader one line at a time, so the
+    load holds the parsed table, not the file text. numpy strips the
+    same whitespace as ``float()`` and converts with the same
+    ``PyOS_string_to_double``, though it accepts fewer spellings (no
+    ``1_000``, no non-ASCII digits). A Dataset is returned only when the
+    csv-module path would return the same one bit for bit; any file
+    numpy could read differently, or that would raise, is declined, also
+    when the line that shows it comes last.
     """
+    limit = csv.field_size_limit()
+    n_lines = 0
+
+    def plain(line: str) -> bool:
+        # quoted cells and NUL bytes are the csv module's to read
+        return '"' not in line and "\0" not in line and len(line) <= limit
+
+    def data_lines(first_row: str, rest: Iterator[str]) -> Iterator[str]:
+        # a decline is raised as ValueError, like numpy's own refusals
+        nonlocal n_lines
+        for line in itertools.chain((first_row,), rest):
+            if not plain(line):
+                raise ValueError("not a plain numeric line")
+            n_lines += 1
+            yield line
+
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        # lines end at "\n" alone and keep any "\r": numpy rejects a "\r"
+        # in a data line anywhere but at its end, where it ends the csv
+        # row too
+        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
             header_line, first_row = fh.readline(), fh.readline()
-            # a categorical file declines here, before the rest is read
+            # a lone "\r" ends the csv module's header row, where numpy
+            # would read on
+            if (not header_line.endswith("\n") or not plain(header_line)
+                    or "\r" in header_line[:-1].removesuffix("\r")):
+                return None
+            header = [h.strip() for h in header_line.split(",")]
+            width = len(header)
+            if (width < 2 or len(set(header)) != width
+                    or treatment_column not in header):
+                return None
+            # a categorical file, or one without data rows, declines here,
+            # before the rest is read
             for cell in first_row.split(","):
                 float(cell)
-            text = header_line + first_row + fh.read()
+            table = np.loadtxt(
+                data_lines(first_row, fh), delimiter=",", comments=None,
+                dtype=np.float64, ndmin=2,
+            )
     except ValueError:  # UnicodeDecodeError included
         return None
-    # Quoted cells and NUL bytes are the csv module's to read, and a lone
-    # "\r" ends the header row where numpy would read on.
-    if not header_line.endswith("\n") or '"' in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    del text
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2:
-        return None
-    header = [h.strip() for h in lines[0].split(",")]
-    width = len(header)
-    if (width < 2 or len(set(header)) != width
-            or treatment_column not in header):
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    try:
-        # numpy rejects a "\r" in a data line anywhere but at its end,
-        # where it ends the csv row too
-        table = np.loadtxt(
-            lines[1:], delimiter=",", comments=None, dtype=np.float64, ndmin=2
-        )
-    except ValueError:
-        return None
     # numpy skips an empty line, where csv.reader yields a 0-cell row
-    if table.shape != (len(lines) - 1, width) or not np.isfinite(table).all():
+    if table.shape != (n_lines, width) or not np.isfinite(table).all():
         return None
     t_idx = header.index(treatment_column)
     treated = table[:, t_idx] == 1.0
@@ -265,7 +305,7 @@ def _load_numeric(path: str, treatment_column: str) -> Dataset | None:
     if not (treated | control).all() or treated.all() or control.all():
         return None
     del header[t_idx]
-    return Dataset(
+    return Dataset._adopt(
         np.delete(table, t_idx, axis=1), treated.astype(np.int64), tuple(header)
     )
 
@@ -274,9 +314,10 @@ def load_csv(path: str, treatment_column: str) -> Dataset:
     """Load a CSV file into a :class:`Dataset`.
 
     A file of plain unquoted numbers, with only 0 and 1 in the treatment
-    column, is parsed by numpy in one call; any other file is parsed by
-    the csv module. Both give the same Dataset, and every diagnostic
-    comes from the csv-module path.
+    column, is streamed line by line into numpy's reader and holds about
+    the parsed table, not the file text; any other file is parsed by the
+    csv module. Both give the same Dataset, and every diagnostic comes
+    from the csv-module path.
 
     Raises ``ValueError`` with a distinct diagnostic for: a missing
     treatment column, a categorical column with more than
@@ -377,7 +418,7 @@ def load_csv(path: str, treatment_column: str) -> Dataset:
                 names.append(f"{name}={level}")
     if not columns:
         raise ValueError(f"{path}: no feature columns besides the treatment")
-    return Dataset(np.column_stack(columns), treatment, tuple(names))
+    return Dataset._adopt(np.column_stack(columns), treatment, tuple(names))
 
 
 def write_csv(

@@ -192,7 +192,9 @@ def _softplus_sigmoid(
 
 
 def _sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
-    return _softplus_sigmoid(z)[1]
+    """``1 / (1 + e^-z)`` computed as :func:`_softplus_sigmoid` does."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _loss_grad_p(

@@ -104,13 +104,13 @@ def generate(spec: SynthSpec, seed: int = 0) -> Dataset:
     """Draw a dataset from ``spec`` with the generator seeded by ``seed``."""
     rng = np.random.default_rng(seed)
     names = spec.feature_names()
-    columns = [
-        rng.uniform(0.0, 3000.0, spec.n),
-        rng.uniform(0.0, 365.0, spec.n),
-    ]
-    for _ in range(spec.noise_covariates):
-        columns.append(rng.standard_normal(spec.n))
-    features = np.column_stack(columns)
+    # one column at a time into the matrix the Dataset keeps, with the
+    # draws in the order of the columns
+    features = np.empty((spec.n, len(names)), dtype=np.float64)
+    features[:, 0] = rng.uniform(0.0, 3000.0, spec.n)
+    features[:, 1] = rng.uniform(0.0, 365.0, spec.n)
+    for j in range(2, len(names)):
+        features[:, j] = rng.standard_normal(spec.n)
 
     logit = np.full(spec.n, spec.logit_intercept, dtype=np.float64)
     if spec.logit_weights:
@@ -124,4 +124,4 @@ def generate(spec: SynthSpec, seed: int = 0) -> Dataset:
         keep = ~(inside & (treatment == 1))
         features = features[keep]
         treatment = treatment[keep]
-    return Dataset(features, treatment, names)
+    return Dataset._adopt(features, treatment, names)

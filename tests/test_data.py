@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,13 @@ def _csv_nul_error():
 
 _CSV_NUL_ERROR = _csv_nul_error()
 
+# 50k plain numeric rows: a fault after them is met only once numpy's
+# reader has parsed the rest of the file
+_LATE_ROWS = 50_000
+_LATE_HEAD = "a,t\n" + "".join(f"{i},{i % 2}\n" for i in range(_LATE_ROWS))
+# the faulty row is data row _LATE_ROWS + 1, on line _LATE_ROWS + 2
+_LATE_ROW, _LATE_LINE = _LATE_ROWS + 1, _LATE_ROWS + 2
+
 # (case id, CSV text, full message with {path} standing for the file path)
 LOAD_CSV_ERRORS = [
     ("empty_file", "", "{path}: file is empty, header row required"),
@@ -203,6 +211,18 @@ LOAD_CSV_ERRORS = [
     ("nul_byte", "a,t\n1,0\n2\0,1\n",
      f"{{path}}: line 3: {_CSV_NUL_ERROR}" if _CSV_NUL_ERROR else
      "{path}: unparseable numeric cell '2\\x00' at row 2, column 'a'"),
+    # each fault alone on the last line of a long numeric file
+    ("late_nul_byte", _LATE_HEAD + "2\0,1\n",
+     f"{{path}}: line {_LATE_LINE}: {_CSV_NUL_ERROR}" if _CSV_NUL_ERROR else
+     f"{{path}}: unparseable numeric cell '2\\x00' at row {_LATE_ROW}, "
+     "column 'a'"),
+    ("late_blank_line", _LATE_HEAD + "\n",
+     f"{{path}}: row {_LATE_ROW} has 0 cells, expected 2"),
+    ("late_oversized_cell", _LATE_HEAD + "0" * 140_000 + "1,1\n",
+     f"{{path}}: line {_LATE_LINE}: field larger than field limit (131072)"),
+    ("late_not_utf8", (_LATE_HEAD + "\xe9,1\n").encode("latin-1"),
+     f"{{path}}: line {_LATE_LINE} is not valid UTF-8 "
+     "(invalid continuation byte)"),
 ]
 
 # CSV texts that load, and whether numpy's reader parses them
@@ -216,6 +236,7 @@ LOAD_CSV_PASSTHROUGH = [
     pytest.param('a,b,t\n"1.5",2,0\n"3",4,"1"\n', False,
                  id="quoted_numbers"),
     pytest.param('"a",t\n1,0\n2,1\n', False, id="quoted_header"),
+    pytest.param(_LATE_HEAD + '"7",1\n', False, id="late_quoted_number"),
     pytest.param('"a\nb",t\n1,0\n2,1\n', False, id="multiline_header"),
     pytest.param("a,t\n1_000,0\n2,1\n", False, id="underscore_digits"),
     pytest.param("a,t\n1,true\n2,0\n", False, id="bool_treatment"),
@@ -354,6 +375,22 @@ class TestLoadCsv:
         got = load_csv(path, "treatment")
         assert csv_reader_calls == []
         assert_same_dataset(got, reference_load_csv(path, "treatment"))
+
+    def test_peak_memory_within_three_times_feature_bytes(
+        self, tmp_path, csv_reader_calls
+    ):
+        path = str(tmp_path / "synth.csv")
+        write_csv(generate(SynthSpec(n=20_000, noise_covariates=8), 0), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, "treatment")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csv_reader_calls == []
+        # the parsed table with its treatment column, then the feature
+        # matrix cut from it; never the file text
+        assert peak <= 3 * ds.features.nbytes
 
     def test_utf8_bom_before_header(self, tmp_path):
         path = write_file(tmp_path, "\ufefft,a\n0,1\n1,2\n")

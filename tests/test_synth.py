@@ -1,6 +1,7 @@
 """Synthetic generator: carve guarantees, determinism, distributions."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ def test_csv_bytes_pinned(tmp_path, spec, seed, digest):
     path = tmp_path / "synth.csv"
     write_csv(generate(spec, seed), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_generate_peak_memory_within_twice_feature_bytes():
+    spec = SynthSpec(n=20_000, noise_covariates=8)
+    # the first draw imports numpy.random's modules; trace the second
+    generate(SynthSpec(n=10), 0)
+    tracemalloc.start()
+    try:
+        ds = generate(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix the Dataset keeps, plus a few n-vectors for the
+    # treatment draw
+    assert peak <= 2 * ds.features.nbytes
 
 
 class TestNoiseCovariates:
