@@ -1085,3 +1085,33 @@ class TestPasslessFit:
         result = fit_predict(design, Config())
         assert result.cg_iters == cg_iters
         assert hashlib.sha256(result.scores.tobytes()).hexdigest() == digest
+
+
+class TestPassFit:
+    """Designs with row passes keep their preconditioned arithmetic bit
+    for bit.
+
+    The digests of the scores and the CG iteration counts were recorded
+    with the pass blocks in place; they hold only if every operation of
+    the preconditioned fit on these designs is unchanged.
+    """
+
+    def test_cross_fit_pinned(self):
+        # the planted_xfit benchmark recipe at n=2000: 290 columns
+        spec = SynthSpec(n=2000, carve=DEFAULT_CARVE, carve_mode="reassign")
+        design = expand_features(generate(spec, seed=1), 16)
+        assert design.d == 290
+        result = fit_predict(design, Config(cross_fit_folds=5, seed=0))
+        assert result.cg_iters == (9, 9, 9, 9, 9)
+        assert hashlib.sha256(result.scores.tobytes()).hexdigest() == (
+            "30d8bd1fac358be41e3d0a2a7e438a31"
+            "ec93b8bf5323cc49e90142cce455f8a4"
+        )
+
+    def test_capped_in_sample_pinned(self, ten_covariate_design):
+        result = fit_predict(ten_covariate_design, Config())
+        assert result.cg_iters == (83,)
+        assert hashlib.sha256(result.scores.tobytes()).hexdigest() == (
+            "a7ee7b5b9eb240f3c0f91d328ac0c558"
+            "2eb14b68fac74d11bd016f31f6a32eb7"
+        )
