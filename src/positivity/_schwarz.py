@@ -33,12 +33,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .propensity import Design
 
-# least penalty of a block, as a share of the total curvature: without a
-# penalty a block is singular, since its cells sum to the intercept and
-# its bins are sums of its cells. The curvature sum, mean p (1 - p), is at
-# most 1/4, so this never raises the default penalty of 1e-4.
-BLOCK_RIDGE = 1e-4
-
 
 def _gauss_jordan(a):
     """Inverse of each symmetric positive definite matrix of a stack.
@@ -85,7 +79,7 @@ class PassBlocks:
     weight. Constant columns are left out: a solve is 0 on them.
     """
 
-    def __init__(self, group, x_std, raw_cols, curvature, ridge) -> None:
+    def __init__(self, group, x_std, curvature, ridge) -> None:
         codes, self.at, raws, self.index, scale, self.shift = group
         n_blocks, k, per = self.at.shape
         n_fn = self.n_fn = int(self.at[0, 0, -1]) + 1
@@ -110,7 +104,7 @@ class PassBlocks:
         for b, (c, feats) in enumerate(zip(codes, raws)):
             for a, j in enumerate(feats):
                 if a or j != first:
-                    np.subtract(raw_cols[:, j], x_std.means[j], out=centered)
+                    np.subtract(x_std.raw[:, j], x_std.means[j], out=centered)
                     np.multiply(curvature, centered, out=weighted[a])
                     own[a] = weighted[a] @ centered
                 if a:
@@ -268,19 +262,17 @@ def pass_groups(design: Design, x_std):
     return stacked, np.where(covered & (scale != 0.0), 0.0, 1.0)
 
 
-def preconditioner(groups, identity, x_std, raw, curvature, l2_lambda):
+def preconditioner(groups, identity, x_std, curvature, l2_lambda):
     """Additive Schwarz: the exact Hessian block of each pass, summed.
 
     Returns ``r -> sum_b R_b^T H_b^-1 R_b r + identity * r`` at the given
-    curvature, or None (the identity) for a design without passes, or
-    when neither penalty nor curvature is left. A block's penalty is at
-    least ``BLOCK_RIDGE`` times the total curvature.
+    curvature and penalty; the penalty keeps every block invertible,
+    since a block's cells sum to the intercept and its bins are sums of
+    its cells. Without passes ``identity`` is all ones, so the map
+    returns r bit for bit.
     """
-    ridge = max(l2_lambda, BLOCK_RIDGE * curvature.sum())
-    if not groups or ridge == 0.0:
-        return None
     blocks = [
-        PassBlocks(group, x_std, raw, curvature, ridge) for group in groups
+        PassBlocks(group, x_std, curvature, l2_lambda) for group in groups
     ]
 
     def apply(r):

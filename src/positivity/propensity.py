@@ -5,16 +5,16 @@ The model minimizes the penalized mean negative log-likelihood
     J(w, b) = mean(log(1 + exp(z)) - t * z) + (lambda / 2) * ||w||^2,
     z = x_std @ w + b,
 
-with the intercept unpenalized and every column standardized; constant
-columns get standard deviation 1 and a weight of exactly 0. The fit is
-truncated Newton-CG (Lin, Weng & Keerthi, "Trust region Newton method
-for large-scale logistic regression", JMLR 2008): each Newton step
-solves H s = g by conjugate gradients on Hessian-vector products, then
-is halved until the loss does not increase. Each solve is only as
-accurate as the step needs (Eisenstat & Walker, "Choosing the forcing
-terms in an inexact Newton method", SIAM J. Sci. Comput. 1996, choice
-1): CG stops once the residual g - H s has norm at most eta_k |g|.
-eta_0 = 0.5; after a step scaled by t,
+with lambda = 1e-4, the intercept unpenalized and every column
+standardized; constant columns get standard deviation 1 and a weight of
+exactly 0. The fit is truncated Newton-CG (Lin, Weng & Keerthi, "Trust
+region Newton method for large-scale logistic regression", JMLR 2008):
+each Newton step solves H s = g by conjugate gradients on Hessian-vector
+products, then is halved until the loss does not increase. Each solve
+is only as accurate as the step needs (Eisenstat & Walker, "Choosing the
+forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 1996,
+choice 1): CG stops once the residual g - H s has norm at most
+eta_k |g|. eta_0 = 0.5; after a step scaled by t,
 
     eta_k = | |g_k| - |g_{k-1} - t H s_{k-1}| | / |g_{k-1}|,
 
@@ -22,11 +22,10 @@ how far the gradient the linear model predicted missed the gradient
 reached, taken from the last CG residual with no extra product. It is
 kept at least eta_{k-1}^phi, phi = (1 + sqrt 5) / 2, when that exceeds
 0.1, and at most 0.5. CG also stops once the residual max-norm is at most
-half the gradient tolerance. The convergence test itself is unchanged:
-iteration stops when the gradient max-norm drops below a fixed 1e-8,
-after ``max_iter`` steps, or at the first step where no halving keeps
-the loss from rising; the model records whether it converged and how
-many CG iterations each step took.
+half the gradient tolerance. Iteration stops when the gradient max-norm
+drops below a fixed 1e-8, after 1000 steps, or at the first step where
+no halving keeps the loss from rising; the model records whether it
+converged and how many CG iterations each step took.
 
 The conjugate gradients are preconditioned by additive Schwarz (Smith,
 Bjorstad & Gropp, "Domain Decomposition", 1996) with one exact Hessian
@@ -36,8 +35,9 @@ those features' raw columns and the intercept (:mod:`._schwarz`). Each
 block is solved through its diagonal cell part and the Schur complement
 onto its at most 2k + 3 other columns, from one ``np.bincount`` of the
 curvature and one per raw column over the pass's codes. Coordinates no
-block covers, constant columns among them, get the identity, so a
-design without passes runs plain CG, bit for bit.
+block covers, constant columns among them, get the identity, so on a
+design without passes the preconditioner returns its input bit for bit
+and the fit runs plain CG.
 
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
@@ -78,6 +78,9 @@ logger = logging.getLogger(__name__)
 _SCORE_EPS = 1e-15
 _MAX_HALVINGS = 30
 _GRAD_TOL = 1e-8
+# the penalty on every standardized weight, and the Newton step limit
+_L2_LAMBDA = 1e-4
+_MAX_NEWTON_STEPS = 1000
 # Eisenstat-Walker choice 1: the first and largest forcing term, and the
 # exponent of the safeguard that keeps it from dropping too fast
 _FORCING_MAX = 0.5
@@ -96,7 +99,6 @@ class PropensityModel:
     feature_means: NDArray[np.float64]
     feature_stds: NDArray[np.float64]
     feature_names: tuple[str, ...]
-    l2_lambda: float
     n_iter: int
     converged: bool
     # CG iterations (Hessian-vector products) of each Newton step
@@ -354,28 +356,25 @@ def _hess_vec(
 
 
 def _newton_step(
-    hess_vec, grad: NDArray[np.float64], forcing: float, precondition=None
+    hess_vec, grad: NDArray[np.float64], forcing: float, precondition
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
     """Solve H s = grad by truncated preconditioned conjugate gradients.
 
     ``precondition`` maps a residual r to M r for a symmetric positive
-    definite M close to the inverse Hessian; None is the identity, which
-    is plain CG. CG stops once the residual r = grad - H s has norm at
-    most ``forcing`` |grad|, or max-norm at most half the gradient
-    tolerance of :func:`fit` (a full step then leaves a gradient the
-    convergence test can pass, so solving further only spends products),
-    after len(grad) iterations, or on non-positive curvature (possible
-    only without the penalty); if that comes before any progress, the
-    gradient itself is the step, with the gradient as its residual
-    (H grad is 0 up to rounding there). Returns the step, its residual
-    and the number of Hessian-vector products spent.
+    definite M close to the inverse Hessian. CG stops once the residual
+    r = grad - H s has norm at most ``forcing`` |grad|, or max-norm at
+    most half the gradient tolerance of :func:`fit` (a full step then
+    leaves a gradient the convergence test can pass, so solving further
+    only spends products), after len(grad) iterations, or on
+    non-positive curvature, which the penalty rules out in exact
+    arithmetic but rounding can still produce; if that comes before any
+    progress, the gradient itself is the step, with the gradient as its
+    residual. Returns the step, its residual and the number of
+    Hessian-vector products spent.
     """
-    if precondition is None:
-        def precondition(r):
-            return r
     step = np.zeros_like(grad)
     resid = grad.copy()
-    direction = precondition(resid).copy()
+    direction = precondition(resid)
     rr = resid @ resid
     rz = resid @ direction
     tol = forcing * np.sqrt(rr)
@@ -430,12 +429,8 @@ def _check_finite(loss: float, grad: NDArray[np.float64], it: int) -> None:
         )
 
 
-def fit(
-    design: Design,
-    l2_lambda: float = 1e-4,
-    max_iter: int = 1000,
-) -> PropensityModel:
-    """Fit the regularized logistic model to a design.
+def fit(design: Design) -> PropensityModel:
+    """Fit the logistic model at the fixed penalty 1e-4 to a design.
 
     Each Newton step is a truncated conjugate-gradient solve from
     Hessian-vector products on the row passes, so no n x D matrix is
@@ -447,17 +442,13 @@ def fit(
     residual max-norm is at most half the gradient tolerance;
     ``cg_iters`` records its iterations (Hessian-vector products) per
     step. Stops when the gradient max-norm drops below 1e-8
-    (converged), after ``max_iter`` Newton steps, or at the first step
-    whose halvings all leave the loss higher; the last two are reported
+    (converged), after 1000 Newton steps, or at the first step whose
+    halvings all leave the loss higher; the last two are reported
     on the model and logged as a warning naming the stop, not raised.
     Training rows of only one treatment group, a non-finite
     loss or gradient, or a raw column whose moments overflow, raise
     ``ValueError``.
     """
-    if l2_lambda < 0.0:
-        raise ValueError("l2_lambda must be >= 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     n_treated = int(design.treatment.sum())
     if n_treated in (0, design.n):
         missing = "treated (T=1)" if n_treated == 0 else "control (T=0)"
@@ -472,24 +463,24 @@ def fit(
     labels = design.treatment.astype(np.float64)
     n = design.n
     params = np.zeros(design.d + 1, dtype=np.float64)
-    loss, grad, p = _loss_grad_p(params, x_std, labels, l2_lambda)
+    loss, grad, p = _loss_grad_p(params, x_std, labels, _L2_LAMBDA)
     _check_finite(loss, grad, 0)
     it = 0
     forcing = _FORCING_MAX
     cg_iters = []
-    stop = f"after max_iter={max_iter} Newton steps"
-    while it < max_iter and np.abs(grad).max() >= _GRAD_TOL:
+    stop = f"at the limit of {_MAX_NEWTON_STEPS} Newton steps"
+    while it < _MAX_NEWTON_STEPS and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
         # p (1 - p) / n, written over p, which the line search replaces
         curvature = p
         curvature *= 1.0 - p
         curvature /= n
         step, resid, iters = _newton_step(
-            partial(_hess_vec, x_std, curvature, l2_lambda),
+            partial(_hess_vec, x_std, curvature, _L2_LAMBDA),
             grad,
             forcing,
             _schwarz.preconditioner(
-                groups, identity, x_std, design.raw, curvature, l2_lambda
+                groups, identity, x_std, curvature, _L2_LAMBDA
             ),
         )
         cg_iters.append(iters)
@@ -498,7 +489,7 @@ def fit(
         for _ in range(_MAX_HALVINGS):
             candidate = params - scale * step
             new_loss, new_grad, new_p = _loss_grad_p(
-                candidate, x_std, labels, l2_lambda
+                candidate, x_std, labels, _L2_LAMBDA
             )
             if np.isfinite(new_loss) and new_loss <= loss:
                 break
@@ -534,7 +525,6 @@ def fit(
         feature_means=means,
         feature_stds=np.where(constant, 1.0, stds),
         feature_names=design.feature_names,
-        l2_lambda=l2_lambda,
         n_iter=it,
         converged=converged,
         cg_iters=tuple(cg_iters),

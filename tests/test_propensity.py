@@ -5,7 +5,6 @@ import logging
 import math
 import re
 import tracemalloc
-import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -120,7 +119,7 @@ class TestFit:
     def test_separated_data_positive_weight(self):
         features = np.array([[-1.0]] * 10 + [[1.0]] * 10)
         treatment = np.array([0] * 10 + [1] * 10)
-        model = fit(raw_design(features, treatment), l2_lambda=0.1)
+        model = fit(raw_design(features, treatment))
         assert model.weights[0] > 0
 
     def test_constant_feature_weight_exactly_zero(self):
@@ -134,9 +133,10 @@ class TestFit:
         assert model.weights[1] == 0.0
         assert model.feature_stds[1] == 1.0
 
-    def test_huge_lambda_collapses_to_intercept_model(self):
+    def test_huge_lambda_collapses_to_intercept_model(self, monkeypatch):
         ds = make_design(n=400, seed=2, weights=np.array([1.0, -1.0, 0.5]))
-        model = fit(ds, l2_lambda=1e6)
+        monkeypatch.setattr(propensity, "_L2_LAMBDA", 1e6)
+        model = fit(ds)
         target = logit(ds.treatment.mean())
         assert np.abs(model.weights).max() < 1e-3
         assert model.intercept == pytest.approx(target, abs=1e-3)
@@ -164,7 +164,7 @@ class TestFit:
 
         monkeypatch.setattr(propensity, "_loss_grad_p", every_step_worse)
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
-            model = fit(make_design(seed=3), max_iter=50)
+            model = fit(make_design(seed=3))
         assert model.n_iter == 1
         assert len(model.cg_iters) == 1
         assert not model.converged
@@ -175,23 +175,19 @@ class TestFit:
             "at Newton step 1, whose line search found no halving"
             in caplog.text
         )
-        assert "max_iter" not in caplog.text
+        assert "limit of" not in caplog.text
 
-    def test_stops_at_max_iter(self, caplog):
+    def test_stops_at_newton_step_limit(self, monkeypatch, caplog):
+        monkeypatch.setattr(propensity, "_MAX_NEWTON_STEPS", 1)
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
-            model = fit(make_design(n=400, seed=3, weights=np.ones(3)),
-                        max_iter=1)
+            model = fit(make_design(n=400, seed=3, weights=np.ones(3)))
         assert model.n_iter == 1
         assert not model.converged
         assert (
-            "propensity fit stopped unconverged after max_iter=1 Newton steps"
-            in caplog.text
+            "propensity fit stopped unconverged at the limit of 1 Newton "
+            "steps" in caplog.text
         )
         assert "line search" not in caplog.text
-
-    def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            fit(make_design(), l2_lambda=-1.0)
 
     @pytest.mark.parametrize(
         "group, missing", [(0, "treated (T=1)"), (1, "control (T=0)")]
@@ -269,7 +265,6 @@ class TestPredict:
             feature_means=model.feature_means,
             feature_stds=model.feature_stds,
             feature_names=model.feature_names,
-            l2_lambda=model.l2_lambda,
             n_iter=0,
             converged=True,
             cg_iters=(),
@@ -285,7 +280,6 @@ class TestPredict:
             feature_means=model.feature_means,
             feature_stds=model.feature_stds,
             feature_names=model.feature_names,
-            l2_lambda=model.l2_lambda,
             n_iter=0,
             converged=True,
             cg_iters=(),
@@ -293,9 +287,25 @@ class TestPredict:
         np.testing.assert_allclose(predict(biased, ds), 0.8, atol=1e-12)
 
     def test_scores_strictly_inside_unit_interval(self):
-        ds = make_design(n=100, seed=6, weights=np.array([50.0, 0.0, 0.0]))
-        model = fit(ds, l2_lambda=1e-12, max_iter=200)
-        scores = predict(model, ds)
+        ds = make_design(n=100, seed=6)
+        model = fit(ds)
+        extreme = model.__class__(
+            weights=np.array([1e3, 0.0, 0.0]),
+            intercept=0.0,
+            feature_means=model.feature_means,
+            feature_stds=model.feature_stds,
+            feature_names=model.feature_names,
+            n_iter=0,
+            converged=True,
+            cg_iters=(),
+        )
+        op = propensity._Standardized(
+            ds, extreme.feature_means, extreme.feature_stds
+        )
+        # the unclipped sigmoid rounds to exactly 0 and 1 on some rows
+        raw = propensity._sigmoid(op @ extreme.weights + extreme.intercept)
+        assert (raw == 0.0).any() and (raw == 1.0).any()
+        scores = predict(extreme, ds)
         assert (scores > 0.0).all()
         assert (scores < 1.0).all()
 
@@ -876,7 +886,7 @@ def assert_gradient_below_tolerance(model, design):
     op = propensity._Standardized(design, *propensity._column_moments(design))
     params = np.append(model.weights, model.intercept)
     labels = design.treatment.astype(np.float64)
-    _, grad = logistic_loss_grad(params, op, labels, model.l2_lambda)
+    _, grad = logistic_loss_grad(params, op, labels, propensity._L2_LAMBDA)
     assert np.abs(grad).max() < 1e-8
 
 
@@ -941,13 +951,11 @@ def pass_blocks(design, lam, seed=31):
     params = 0.3 * rng.standard_normal(design.d + 1)
     p = propensity._sigmoid(op @ params[:-1] + params[-1])
     curvature = p * (1.0 - p) / design.n
-    ridge = max(lam, _schwarz.BLOCK_RIDGE * curvature.sum())
     groups, _ = _schwarz.pass_groups(design, op)
     blocks = [
-        _schwarz.PassBlocks(group, op, design.raw, curvature, ridge)
-        for group in groups
+        _schwarz.PassBlocks(group, op, curvature, lam) for group in groups
     ]
-    return blocks, dense_hessian(design, curvature, ridge), rng
+    return blocks, dense_hessian(design, curvature, lam), rng
 
 
 class TestPassBlocks:
@@ -974,17 +982,6 @@ class TestPassBlocks:
     )
     def test_block_solve_matches_dense(self, make, lam):
         self.assert_solves_match_dense(make(), lam)
-
-    @pytest.mark.parametrize(
-        "make", [gapped_design, capped_design], ids=["gapped", "capped"]
-    )
-    def test_block_solve_without_penalty(self, make):
-        # a block's cells sum to the intercept and its bins are sums of
-        # its cells, so without a penalty it is singular; it is solved at
-        # the ridge floor instead, which the dense block gets too
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            self.assert_solves_match_dense(make(), 0.0)
 
     def test_designs_hold_every_kind_of_block(self):
         gapped, capped = gapped_design(), capped_design()
@@ -1035,7 +1032,9 @@ class TestPassBlocks:
         design = expand_features(Dataset(features, treatment), 16)
         assert [p[2] for p in design.passes] == [(16,)] * 120
         blocked = fit(design)
-        monkeypatch.setattr(_schwarz, "preconditioner", lambda *a: None)
+        monkeypatch.setattr(
+            _schwarz, "preconditioner", lambda *a: lambda r: r
+        )
         plain = fit(design)
         assert blocked.converged and plain.converged
         # 130 against 288
