@@ -142,7 +142,11 @@ def render_text(
     report: ViolationReport,
     propensity: PropensityResult,
 ) -> str:
-    """Plain-text report: verdict, model quality, then per-group rules."""
+    """Plain-text report: verdict, model quality, then per-group rules.
+
+    A line after the model quality names any propensity fit, or with
+    cross-fitting any fold's fit, that stopped unconverged.
+    """
     lines = []
     if report.violation_detected:
         lines.append("Positivity violation detected.")
@@ -152,6 +156,18 @@ def render_text(
         f"Propensity model: AUC {_fmt(propensity.auc)}, "
         f"log-loss {_fmt(propensity.log_loss)}"
     )
+    unconverged = [
+        str(k) for k, ok in enumerate(propensity.converged, start=1) if not ok
+    ]
+    if unconverged:
+        where = (
+            "" if propensity.folds == 1
+            else f" on fold(s) {', '.join(unconverged)} of {propensity.folds}"
+        )
+        lines.append(
+            f"Propensity fit did not converge{where}; the scores are from "
+            "its last Newton step."
+        )
     n_sig = int(report.bin_mask.sum())
     lines.append(
         f"Suspected bins: {len(report.suspected)}  "

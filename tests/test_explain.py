@@ -10,10 +10,14 @@ from positivity import (
     Config,
     Rule,
     RuleSet,
+    SynthSpec,
+    analyze_dataset,
+    generate,
     render_report,
     render_text,
     ruleset_mask,
 )
+from positivity import propensity
 from positivity.explain import NO_VIOLATION_TEXT, extract_rules
 from positivity.tree import ExplanationTree, TreeNode, build_tree, prune
 from positivity.propensity import PropensityResult
@@ -221,6 +225,50 @@ class TestRenderText:
         a = render_text([], report, make_propensity())
         b = render_text([], report, make_propensity())
         assert a == b
+
+    @pytest.mark.parametrize(
+        "folds, where",
+        [(1, ""), (3, " on fold(s) 1, 2, 3 of 3")],
+        ids=["in-sample", "3-folds"],
+    )
+    def test_unconverged_analysis_says_so(self, monkeypatch, folds, where):
+        monkeypatch.setattr(propensity, "_MAX_NEWTON_STEPS", 1)
+        result = analyze_dataset(
+            generate(SynthSpec(n=2000), seed=0),
+            Config(cross_fit_folds=folds),
+        )
+        assert result.propensity.converged == (False,) * folds
+        lines = render_text(
+            list(result.rulesets), result.report, result.propensity
+        ).splitlines()
+        assert lines[1].startswith("Propensity model: AUC ")
+        assert lines[2] == (
+            f"Propensity fit did not converge{where}; the scores are from "
+            "its last Newton step."
+        )
+
+    @pytest.mark.parametrize(
+        "converged, line",
+        [
+            ((True,) * 5, None),
+            (
+                (True, False, True, False, True),
+                "Propensity fit did not converge on fold(s) 2, 4 of 5; the "
+                "scores are from its last Newton step.",
+            ),
+        ],
+        ids=["converged", "folds-2-4"],
+    )
+    def test_unconverged_folds_named(self, converged, line):
+        fits = PropensityResult(
+            scores=np.full(4, 0.5), auc=0.625, log_loss=0.693147, folds=5,
+            n_iter=(4,) * 5, converged=converged, cg_iters=(9,) * 5,
+        )
+        lines = render_text([], make_report(), fits).splitlines()
+        assert lines[2].startswith("Suspected bins: ") == (line is None)
+        assert "did not converge" not in "\n".join(lines[3:])
+        if line is not None:
+            assert lines[2] == line
 
 
 class TestRenderReport:
