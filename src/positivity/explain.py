@@ -165,8 +165,8 @@ def render_text(
             else f" on fold(s) {', '.join(unconverged)} of {propensity.folds}"
         )
         lines.append(
-            f"Propensity fit did not converge{where}; the scores are from "
-            "its last Newton step."
+            f"Propensity fit did not converge{where}; scores come from the "
+            "last Newton step."
         )
     n_sig = int(report.bin_mask.sum())
     lines.append(

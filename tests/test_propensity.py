@@ -734,8 +734,8 @@ def record_fits(monkeypatch):
     real = propensity.fit
     fits = []
 
-    def recording(train, *args, **kwargs):
-        model = real(train, *args, **kwargs)
+    def recording(train):
+        model = real(train)
         fits.append((train, model))
         return model
 
