@@ -57,7 +57,7 @@ row passes, each one vector of integer codes. A pair's cell codes
 the pass of the first kept pair that contains a feature carries that
 feature's bins too; a feature no kept pair contains has a pass of its
 own bins. A product with the standardized design costs one gather
-(``X @ w``) or one ``np.bincount`` (``X.T @ r``) per pass.
+(``X @ w``) or one ``np.bincount`` (``r @ X``) per pass.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _loss_grad_p(
     resid = p - labels
     n = labels.shape[0]
     grad = np.empty(params.shape[0], dtype=np.float64)
-    grad[:-1] = features_std.T @ resid / n + l2_lambda * w
+    grad[:-1] = resid @ features_std / n + l2_lambda * w
     grad[-1] = resid.mean()
     return loss, grad, p
 
@@ -230,9 +230,10 @@ def logistic_loss_grad(
 
     ``params`` stacks the d weights followed by the intercept. The
     gradient layout matches. ``features_std`` is a standardized n x d
-    array or anything offering the same ``@`` and ``.T @`` products,
-    such as the design operator :func:`fit` uses. Exposed separately so
-    the analytic gradient can be checked against finite differences.
+    array X or anything offering the same products ``X @ w`` and
+    ``r @ X``, such as the design operator :func:`fit` uses. Exposed
+    separately so the analytic gradient can be checked against finite
+    differences.
     """
     return _loss_grad_p(params, features_std, labels, l2_lambda)[:2]
 
@@ -293,8 +294,9 @@ def _column_moments(design: Design):
 class _Standardized:
     """The standardized design ``(X - means) / stds`` as a linear operator.
 
-    ``op @ w`` gathers and ``op.T @ r`` bincounts once per row pass of
-    the design, from the raw columns and the codes, without forming X.
+    ``op @ w`` gathers and ``r @ op`` (X^T r) bincounts once per row
+    pass of the design, from the raw columns and the codes, without
+    forming X.
     A column whose std is 0 reads as all zeros, as a constant column
     does after dense standardization.
     """
@@ -306,6 +308,9 @@ class _Standardized:
         self.scale = np.divide(
             1.0, stds, out=np.zeros_like(stds), where=stds != 0.0
         )
+
+    # ndarray @ op defers to __rmatmul__ instead of building an object array
+    __array_ufunc__ = None
 
     def __matmul__(self, w: NDArray[np.float64]) -> NDArray[np.float64]:
         v = w * self.scale
@@ -319,38 +324,25 @@ class _Standardized:
             z += table.ravel()[codes]
         return z - self.means @ v
 
-    @property
-    def T(self) -> _Transposed:
-        return _Transposed(self)
-
-
-class _Transposed:
-    """``op.T``: ``op.T @ r`` is the transposed product of ``op``."""
-
-    def __init__(self, op: _Standardized) -> None:
-        self.op = op
-
-    def __matmul__(self, r: NDArray[np.float64]) -> NDArray[np.float64]:
-        op = self.op
-        out = _indicator_sums(op.passes, r, np.empty_like(op.scale))
-        out[: op.raw.shape[1]] = op.raw.T @ r
-        return (out - op.means * r.sum()) * op.scale
+    def __rmatmul__(self, r: NDArray[np.float64]) -> NDArray[np.float64]:
+        out = _indicator_sums(self.passes, r, np.empty_like(self.scale))
+        out[: self.raw.shape[1]] = self.raw.T @ r
+        return (out - self.means * r.sum()) * self.scale
 
 
 def _hess_vec(
     x_std: _Standardized,
     curvature: NDArray[np.float64],
-    l2_lambda: float,
     v: NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Hessian of the loss times ``v`` (weights, then intercept).
 
     ``curvature`` is the per-row weight p (1 - p) / n at the point
-    where the Hessian is taken.
+    where the Hessian is taken; the penalty is the fixed 1e-4.
     """
     u = curvature * (x_std @ v[:-1] + v[-1])
     out = np.empty_like(v)
-    out[:-1] = x_std.T @ u + l2_lambda * v[:-1]
+    out[:-1] = u @ x_std + _L2_LAMBDA * v[:-1]
     out[-1] = u.sum()
     return out
 
@@ -476,7 +468,7 @@ def fit(design: Design) -> PropensityModel:
         curvature *= 1.0 - p
         curvature /= n
         step, resid, iters = _newton_step(
-            partial(_hess_vec, x_std, curvature, _L2_LAMBDA),
+            partial(_hess_vec, x_std, curvature),
             grad,
             forcing,
             _schwarz.preconditioner(

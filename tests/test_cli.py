@@ -8,12 +8,18 @@ import warnings
 import numpy as np
 import pytest
 
-from positivity import Config
+from positivity import Config, load_csv, ruleset_mask
 from positivity.density import estimate_histograms
 from positivity.explain import NO_VIOLATION_TEXT
 from positivity.figures import render_histogram_svg
 from positivity.cli import _config_from_args, build_parser, main
+from positivity.pipeline import analyze_dataset
 from positivity.violation import BinTest, ViolationReport
+
+REPORT_FILES = (
+    "report.txt", "report.json", "histogram.svg",
+    "tree_control.txt", "tree_treated.txt",
+)
 
 
 @pytest.fixture(scope="module")
@@ -278,10 +284,7 @@ class TestAnalyzeCarved:
 
     def test_all_outputs_written(self, carved_run):
         _, out = carved_run
-        for name in (
-            "report.txt", "report.json", "histogram.svg",
-            "tree_control.txt", "tree_treated.txt",
-        ):
+        for name in REPORT_FILES:
             assert (out / name).is_file()
 
     def test_report_names_planted_bounds(self, carved_run):
@@ -347,6 +350,72 @@ class TestDeterminism:
         )
         assert code == 3
         for name in ("report.json", "histogram.svg", "report.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def text_column_csv(tmp_path_factory):
+    """20k rows, text column ``plan``: p2 at ages (1500, 1800] is control."""
+    rng = np.random.default_rng(1)
+    n = 20000
+    age = rng.uniform(0, 3000, n)
+    plan = rng.integers(0, 5, n)
+    days = rng.uniform(0, 365, n)
+    treatment = rng.integers(0, 2, n)
+    treatment[(plan == 2) & (age > 1500) & (age <= 1800)] = 0
+    path = tmp_path_factory.mktemp("cli") / "text.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("profile_age,plan,days_since_last_email,treatment\n")
+        for row in zip(age.tolist(), plan.tolist(), days.tolist(),
+                       treatment.tolist()):
+            fh.write("%r,p%d,%r,%d\n" % row)
+    return str(path)
+
+
+class TestTextColumn:
+    """A hole on one level of a one-hot encoded text column, end to end."""
+
+    def analyze(self, csv, out):
+        return main(
+            ["analyze", csv, "--treatment-col", "treatment", "--out", str(out)]
+        )
+
+    def test_hole_named_and_reproducible(self, text_column_csv, tmp_path):
+        first, second = tmp_path / "out", tmp_path / "again"
+        assert self.analyze(text_column_csv, first) == 3
+        doc = json.loads((first / "report.json").read_text(encoding="utf-8"))
+        reported = [
+            (group["group"], rs["rules"], rs["n_pos"], rs["n_neg"])
+            for group in doc["groups"]
+            for rs in group["rulesets"]
+        ]
+        assert any(
+            rule["feature"] == "plan=p2"
+            for _, rules, _, _ in reported
+            for rule in rules
+        )
+        # the same analysis in process gives the labels the counts are of
+        dataset = load_csv(text_column_csv, "treatment")
+        result = analyze_dataset(dataset, Config())
+        labels_by_group = {
+            0: result.report.sample_labels0,
+            1: result.report.sample_labels1,
+        }
+        assert len(result.rulesets) == len(reported)
+        for ruleset, (group, rules, n_pos, n_neg) in zip(
+            result.rulesets, reported
+        ):
+            assert (ruleset.group, ruleset.n_pos, ruleset.n_neg) == (
+                group, n_pos, n_neg
+            )
+            assert [vars(rule) for rule in ruleset.rules] == rules
+            rows = dataset.features[dataset.treatment == group]
+            labels = labels_by_group[group]
+            mask = ruleset_mask(ruleset, rows, dataset.feature_names)
+            assert int((mask & labels).sum()) == n_pos
+            assert int((mask & ~labels).sum()) == n_neg
+        assert self.analyze(text_column_csv, second) == 3
+        for name in REPORT_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
 

@@ -795,6 +795,21 @@ class TestDesignParity:
             assert abs(loss_op - loss_x) <= 1e-12
             np.testing.assert_allclose(grad_op, grad_x, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "make", [gapped_design, capped_design], ids=["gapped", "capped"]
+    )
+    def test_transposed_product_matches_dense(self, make):
+        design = make()
+        x_std, _ = dense_standardized(design)
+        op = propensity._Standardized(
+            design, *propensity._column_moments(design)
+        )
+        r = np.random.default_rng(24).standard_normal(design.n)
+        got = r @ op
+        # ndarray @ op deferred to op.__rmatmul__: no object array
+        assert got.dtype == np.float64 and got.shape == (design.d,)
+        np.testing.assert_allclose(got, r @ x_std, rtol=0, atol=1e-12)
+
     def test_moments_match_dense(self):
         design = gapped_design()
         x = dense(design)
@@ -817,7 +832,7 @@ class TestDesignParity:
             design, *propensity._column_moments(design)
         )
         labels = design.treatment.astype(np.float64)
-        lam = 1e-3
+        lam = propensity._L2_LAMBDA
         rng = np.random.default_rng(23)
         params = 0.3 * rng.standard_normal(design.d + 1)
         p = propensity._sigmoid(op @ params[:-1] + params[-1])
@@ -825,7 +840,7 @@ class TestDesignParity:
         eps = 1e-5
         for _ in range(5):
             v = rng.standard_normal(design.d + 1)
-            hv = propensity._hess_vec(op, curvature, lam, v)
+            hv = propensity._hess_vec(op, curvature, v)
             _, g_hi = logistic_loss_grad(params + eps * v, op, labels, lam)
             _, g_lo = logistic_loss_grad(params - eps * v, op, labels, lam)
             numeric = (g_hi - g_lo) / (2 * eps)
