@@ -10,12 +10,12 @@ design:
 where R_b picks the coordinates of block b and I_0 keeps, unchanged, the
 coordinates no block covers and those of constant columns. A pass's
 block holds its cells; the bins of its one or two features, wherever
-they sit in the design (they are margins of its own grid); those
-features' raw columns; and the intercept. It is rebuilt at every Newton
-step from the curvature c = p (1 - p) / n, with one ``np.bincount`` of c
-and one of c (x_j - mean_j) per raw column over the pass's codes, and
-keeps O(cells + m^2) numbers, m its other columns. Passes whose blocks
-have one shape form a group, and each operation runs once per group.
+they sit in the design (they are margins of its own grid); and the
+intercept. It is rebuilt at every Newton step from the curvature
+c = p (1 - p) / n, with one ``np.bincount`` of c over the pass's codes,
+and keeps O(cells + m^2) numbers, m its other columns. Passes whose
+blocks have one shape form a group, and each operation runs once per
+group.
 
 The blocks use elementwise numpy, ``np.bincount`` and vector dot
 products only; their small dense inverses are Gauss-Jordan eliminations.
@@ -54,92 +54,57 @@ def _gauss_jordan(a):
 class PassBlocks:
     """The exact Hessian blocks of row passes of one shape, and their solve.
 
-    A pass's block holds its K cells, then m other columns: the m_f - 1
-    bins of those of its features that have bins (margins of its cell
-    grid, wherever they sit in the design), the intercept, and the
-    features' raw columns. Bins and intercept are functions of the
-    cell: ``at[b, c]`` lists the ones that are 1 at cell c of block b,
-    the intercept last, numbered ``b m_f`` on. A bin pass's cells are
-    its feature's bins, so there m_f is 1. The passes of a group share
-    K, m_f and their number of raw columns.
+    A pass's block holds its K cells, then m other columns: the bins of
+    its one or two features (margins of its cell grid, wherever they
+    sit in the design), then the intercept. All of them are functions
+    of the cell: ``at[b, c]`` lists the ones that are 1 at cell c of
+    block b, the intercept last, numbered ``b m`` on. A bin pass's cells
+    are its feature's bins, so there m is 1. The passes of a group share
+    K and m.
 
     A standardized indicator column is ``s e - s mu 1``, so moving the
     intercept coordinate by ``s mu`` times each indicator weight turns
     the block into the Gram matrix of uncentered indicators. That
     removes the rank-2 centering term of the cell rows: the cells couple
     only through their diagonal ``s^2 h + ridge``, h the curvature summed
-    per cell. The raw columns get their curvature sums per cell from one
-    ``np.bincount`` each, so the cross terms are applied by a gather and
-    bincounts over the cells, and only the m x m Schur complement of the
-    cells is kept. Its indicator part is the indicator Gram matrix at
-    cell weights ``h ridge / (s^2 h + ridge)``, so it is formed without
-    cancellation. The first feature's p bins are exclusive, so their
-    rows of it are diagonal: they are eliminated at once, and only the
-    m - p others are inverted densely. ``ridge`` is the penalty on every
-    weight. Constant columns are left out: a solve is 0 on them.
+    per cell, and only the m x m Schur complement of the cells is kept.
+    It is the indicator Gram matrix at cell weights
+    ``h ridge / (s^2 h + ridge)``, so it is formed without cancellation.
+    The first feature's p bins are exclusive, so their rows of it are
+    diagonal: they are eliminated at once, and only the m - p others
+    are inverted densely. ``ridge`` is the penalty on every weight.
+    Constant columns are left out: a solve is 0 on them.
     """
 
-    def __init__(self, group, x_std, curvature, ridge) -> None:
-        codes, self.at, raws, self.index, scale, self.shift = group
+    def __init__(self, group, curvature, ridge) -> None:
+        codes, self.at, self.index, scale, self.shift = group
         n_blocks, k, per = self.at.shape
-        n_fn = self.n_fn = int(self.at[0, 0, -1]) + 1
+        m = self.m = int(self.at[0, 0, -1]) + 1
         p = self.p = int(self.at[0, :, 0].max()) + 1 if per > 1 else 0
         self.k = k
         self.live = (scale != 0.0).astype(np.float64)
-        self.s, self.s_o = s, s_o = scale[:, :k], scale[:, k:]
+        s, s_o = scale[:, :k], scale[:, k:]
+        self.s_o = s_o
         h = np.stack([np.bincount(c, curvature, k) for c in codes])
         self.hs = h * s
         self.inv_d = 1.0 / (s * self.hs + ridge)
-        # curvature sums of the one or two centered raw columns, per cell
-        # and paired. Each column is read once per block into one n-vector,
-        # and the first feature's weights are kept while the group's
-        # passes share it, as pairs in feature order do.
-        n_raw = raws.shape[1]
-        self.q = q = np.empty((n_blocks, k, n_raw))
-        gram = np.empty((n_blocks, n_raw, n_raw))
-        centered = np.empty_like(curvature)
-        weighted = [np.empty_like(curvature) for _ in range(n_raw)]
-        own = [0.0] * n_raw
-        first = None
-        for b, (c, feats) in enumerate(zip(codes, raws)):
-            for a, j in enumerate(feats):
-                if a or j != first:
-                    np.subtract(x_std.raw[:, j], x_std.means[j], out=centered)
-                    np.multiply(curvature, centered, out=weighted[a])
-                    own[a] = weighted[a] @ centered
-                if a:
-                    gram[b, 0, 1] = gram[b, 1, 0] = weighted[0] @ centered
-                q[b, :, a] = np.bincount(c, weighted[a], k)
-                gram[b, a, a] = own[a]
-            first = feats[0]
-        del centered, weighted
-        # the cells' Schur complement, scaled by s_o on both sides
-        rest = ridge * self.inv_d
-        m = n_fn + n_raw
-        schur = np.zeros((n_blocks, m, m))
-        # the indicator Gram matrix at weights w: a bin's or the
-        # intercept's sum of w over its cells on the diagonal and in the
-        # intercept's row and column, and where the two features' bins
-        # meet, the cell grid itself (cell = row * kb + column)
-        weight = h * rest
+        # the cells' Schur complement, scaled by s_o on both sides: the
+        # indicator Gram matrix at weights w, a bin's or the intercept's
+        # sum of w over its cells on the diagonal and in the intercept's
+        # row and column, and where the two features' bins meet, the
+        # cell grid itself (cell = row * kb + column)
+        weight = h * ridge * self.inv_d
         sums = self._cell_sums(weight)
-        fn = np.arange(n_fn)
-        schur[:, fn, fn] = sums
-        schur[:, n_fn - 1, :n_fn] = schur[:, :n_fn, n_fn - 1] = sums
-        if per == 3:
-            grid = weight.reshape(n_blocks, p, n_fn - 1 - p)
-            schur[:, :p, p:n_fn - 1] = grid
-            schur[:, p:n_fn - 1, :p] = grid.transpose(0, 2, 1)
-        for a in range(n_raw):
-            schur[:, :n_fn, n_fn + a] = self._cell_sums(q[:, :, a] * rest)
-        schur[:, n_fn:, :n_fn] = schur[:, :n_fn, n_fn:].transpose(0, 2, 1)
-        qd = q * (s * s * self.inv_d)[:, :, None]
-        schur[:, n_fn:, n_fn:] = gram - (
-            q[:, :, :, None] * qd[:, :, None, :]
-        ).sum(1)
+        schur = np.zeros((n_blocks, m, m))
+        schur[:, np.arange(m), np.arange(m)] = sums
+        schur[:, m - 1] = schur[:, :, m - 1] = sums
+        if p:
+            grid = weight.reshape(n_blocks, p, m - 1 - p)
+            schur[:, :p, p:m - 1] = grid
+            schur[:, p:m - 1, :p] = grid.transpose(0, 2, 1)
         schur *= s_o[:, :, None]
         schur *= s_o[:, None, :]
-        penalized = np.arange(m) != n_fn - 1
+        penalized = np.arange(m - 1)
         schur[:, penalized, penalized] += ridge
         # eliminate the diagonal rows of the first feature's bins
         self.inv_lead = 1.0 / np.diagonal(schur[:, :p, :p], axis1=1, axis2=2)
@@ -156,26 +121,21 @@ class PassBlocks:
         """Per block, bin and intercept column, the sum of ``z`` over cells."""
         per = self.at.shape[2]
         return np.bincount(
-            self.at.ravel(), np.repeat(z, per), z.shape[0] * self.n_fn
-        ).reshape(-1, self.n_fn)
+            self.at.ravel(), np.repeat(z, per), z.shape[0] * self.m
+        ).reshape(-1, self.m)
 
     def solve(self, r):
         """Each block's inverse times its row of ``r``, 0 on constant
         columns."""
-        k, n_fn, p = self.k, self.n_fn, self.p
+        k, p = self.k, self.p
         r = r * self.live
-        r += self.shift * r[:, k + n_fn - 1, None]
+        r += self.shift * r[:, -1, None]
         t = self.inv_d * r[:, :k]
-        # matrix-vector products only: np.matmul runs them as BLAS gemv,
-        # which the design products load already, unlike gemm or LAPACK
-        coupled = np.concatenate(
-            [self._cell_sums(self.hs * t),
-             np.matmul((self.s * t)[:, None], self.q)[:, 0]],
-            axis=1,
-        )
-        v = r[:, k:] - self.s_o * coupled
+        v = r[:, k:] - self.s_o * self._cell_sums(self.hs * t)
         y = np.empty_like(r)
         y_o = y[:, k:]
+        # matrix-vector products only: np.matmul runs them as BLAS gemv,
+        # which the design products load already, unlike gemm or LAPACK
         trail = v[:, p:] - np.matmul(v[:, None, :p], self.lead)[:, 0]
         y_o[:, p:] = np.matmul(self.trail_inv, trail[:, :, None])[:, :, 0]
         y_o[:, :p] = (
@@ -183,11 +143,8 @@ class PassBlocks:
             - np.matmul(self.lead, y_o[:, p:, None])[:, :, 0]
         )
         z = self.s_o * y_o
-        y[:, :k] = t - self.inv_d * (
-            self.hs * z[:, :n_fn].ravel()[self.at].sum(2)
-            + self.s * np.matmul(self.q, z[:, n_fn:, None])[:, :, 0]
-        )
-        y[:, k + n_fn - 1] += (self.shift * y).sum(1)
+        y[:, :k] = t - self.inv_d * (self.hs * z.ravel()[self.at].sum(2))
+        y[:, -1] += (self.shift * y).sum(1)
         return y * self.live
 
 
@@ -198,13 +155,12 @@ def pass_groups(design: Design, x_std):
     scales. Returns ``(groups, identity)``. A group holds, for passes whose
     blocks have the same shape: their codes, and stacked per pass, the
     bin and intercept columns ``at`` of each cell (see
-    :class:`PassBlocks`), the raw features, the block's coordinates in
-    the parameter vector, their column scales (0 for a constant column,
-    1 for the intercept) and their intercept shifts ``s mu`` (0 for the
-    intercept and the raw columns). ``identity`` is 1 on every
-    coordinate that no block covers or whose column is constant, and 0
-    elsewhere. This layout is fixed for a fit; the blocks' numbers
-    follow the curvature.
+    :class:`PassBlocks`), the block's coordinates in the parameter
+    vector, their column scales (0 for a constant column, 1 for the
+    intercept) and their intercept shifts ``s mu`` (0 for the
+    intercept). ``identity`` is 1 on every coordinate that no block
+    covers or whose column is constant, and 0 elsewhere. This layout is
+    fixed for a fit; the blocks' numbers follow the curvature.
     """
     d = design.d
     scale = np.append(x_std.scale, 1.0)
@@ -230,7 +186,6 @@ def pass_groups(design: Design, x_std):
             own = [
                 (lev, bins[j])
                 for j, lev in zip(feats, (cell // grid[1], cell % grid[1]))
-                if j in bins
             ]
         starts = np.cumsum([0] + [b.stop - b.start for _, b in own])
         pos = np.column_stack(
@@ -240,15 +195,13 @@ def pass_groups(design: Design, x_std):
         index = np.concatenate(
             [cell + cells.start]
             + [np.arange(b.start, b.stop) for _, b in own]
-            + [[d], feats]
+            + [[d]]
         ).astype(np.intp)
-        moves = shift[index]
-        moves[-len(feats):] = 0.0
         # the shape, and where the first feature's bins, the second's and
         # the intercept end
-        shape = (pos.shape, tuple(pos.max(0)), len(feats))
+        shape = (pos.shape, tuple(pos.max(0)))
         groups.setdefault(shape, []).append(
-            (codes, pos, feats, index, scale[index], moves)
+            (codes, pos, index, scale[index], shift[index])
         )
     covered = np.zeros(d + 1, dtype=bool)
     stacked = []
@@ -258,11 +211,11 @@ def pass_groups(design: Design, x_std):
         # number the cells' columns over the blocks of the group
         at = pos + (pos[0, 0, -1] + 1) * np.arange(len(pos))[:, None, None]
         stacked.append((codes, at, *map(np.array, rest)))
-        covered[stacked[-1][3]] = True
+        covered[stacked[-1][2]] = True
     return stacked, np.where(covered & (scale != 0.0), 0.0, 1.0)
 
 
-def preconditioner(groups, identity, x_std, curvature, l2_lambda):
+def preconditioner(groups, identity, curvature, l2_lambda):
     """Additive Schwarz: the exact Hessian block of each pass, summed.
 
     Returns ``r -> sum_b R_b^T H_b^-1 R_b r + identity * r`` at the given
@@ -272,7 +225,7 @@ def preconditioner(groups, identity, x_std, curvature, l2_lambda):
     returns r bit for bit.
     """
     blocks = [
-        PassBlocks(group, x_std, curvature, l2_lambda) for group in groups
+        PassBlocks(group, curvature, l2_lambda) for group in groups
     ]
 
     def apply(r):

@@ -42,6 +42,11 @@ _WRITE_BLOCK_ROWS = 128
 
 _TEST_KINDS = ("z", "fisher")
 
+# tree growth, pruning, rule extraction and rendering recurse once per
+# level; at this depth they stay well inside Python's default limit of
+# 1000 frames
+MAX_TREE_DEPTH = 500
+
 
 @dataclass(frozen=True)
 class Config:
@@ -79,10 +84,15 @@ class Config:
             raise ValueError(
                 f"test_kind must be one of {_TEST_KINDS}, got {self.test_kind!r}"
             )
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        if not 0 <= self.max_depth <= MAX_TREE_DEPTH:
+            raise ValueError(
+                f"max_depth must be in [0, {MAX_TREE_DEPTH}], got "
+                f"{self.max_depth}"
+            )
         if self.cross_fit_folds < 1:
             raise ValueError("cross_fit_folds must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.propensity_bins < 0 or self.propensity_bins == 1:
             raise ValueError("propensity_bins must be 0 or >= 2")
 

@@ -2,7 +2,7 @@
 
 The propensity model is fit on the design
 :func:`positivity.propensity.expand_features` builds from
-``config.propensity_bins``: by default bin indicators and pairwise
+``config.propensity_bins``: by default level indicators and pairwise
 cells, so that interior covariate regions with missing treatment mass
 produce separated scores. Histograms, tests, and labels run on those
 scores; the explanation trees are always trained on the raw features,
@@ -56,7 +56,9 @@ def analyze_dataset(dataset: Dataset, config: Config = Config()) -> AnalysisResu
         raise DataError(diagnostics)
 
     design = expand_features(dataset, config.propensity_bins)
-    logger.info("propensity design: %d columns (%d raw)", design.d, dataset.d)
+    logger.info(
+        "propensity design: %d columns (%d raw)", design.d, design.raw.shape[1]
+    )
     propensity = fit_predict(design, config)
     logger.info(
         "propensity fit: auc=%.4f log_loss=%.4f", propensity.auc,

@@ -31,13 +31,12 @@ The conjugate gradients are preconditioned by additive Schwarz (Smith,
 Bjorstad & Gropp, "Domain Decomposition", 1996) with one exact Hessian
 block per row pass of the design, rebuilt at every Newton step: the
 pass's cells, the bins of its one or two features wherever they sit,
-those features' raw columns and the intercept (:mod:`._schwarz`). Each
-block is solved through its diagonal cell part and the Schur complement
-onto its at most 2k + 3 other columns, from one ``np.bincount`` of the
-curvature and one per raw column over the pass's codes. Coordinates no
-block covers, constant columns among them, get the identity, so on a
-design without passes the preconditioner returns its input bit for bit
-and the fit runs plain CG.
+and the intercept (:mod:`._schwarz`). Each block is solved through its
+diagonal cell part and the Schur complement onto its at most 2k + 1
+other columns, from one ``np.bincount`` of the curvature over the
+pass's codes. Coordinates no block covers, constant columns among them,
+get the identity, so on a design without passes the preconditioner
+returns its input bit for bit and the fit runs plain CG.
 
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
@@ -46,13 +45,17 @@ config seed; the default (folds = 1) scores in-sample.
 into this model on every run; at 0 bins it is the raw columns alone.
 Otherwise it is binned: a linear score is monotone along a single
 direction of feature space, so it cannot isolate an interior
-rectangular region; indicator columns for per-feature equal-width bins
-plus pairwise bin-interaction cells make such regions separable while
-keeping the model logistic and convex. Pair blocks are added in feature
-order up to :data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap
-are dropped with a logged warning. The design is never materialized:
-a :class:`Design` holds the raw columns plus its indicator columns as
-row passes, each one vector of integer codes. A pair's cell codes
+rectangular region; indicator columns for per-feature levels
+(equal-width bins, or a binary column's two values) plus pairwise
+level-interaction cells make such regions separable while keeping the
+model logistic and convex, with no raw column beside them: binned main
+effects and pair cells, the shape of GA2M (Lou, Caruana, Gehrke &
+Hooker, "Accurate intelligible models with pairwise interactions", KDD
+2013). Pair blocks are added in feature order up to
+:data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap are dropped
+with a logged warning. The design is never materialized: a
+:class:`Design` holds its indicator columns as row passes, each one
+vector of integer codes. A pair's cell codes
 ``ca * kb + cb`` also give the bin levels of both of its features, so
 the pass of the first kept pair that contains a feature carries that
 feature's bins too; a feature no kept pair contains has a pass of its
@@ -136,19 +139,21 @@ class PropensityResult:
 
 @dataclass(frozen=True)
 class Design:
-    """Raw columns plus indicator columns held as row passes.
+    """Raw columns or indicator columns held as row passes.
 
-    Columns 0..d_raw-1 are the raw features, named by ``feature_names``;
-    the indicator columns follow them contiguously, so :attr:`d` is the
-    end of the last pass's cells. Each pass ``(codes, cells, grid, rows,
-    cols)`` sets, in row i, column ``cells.start + codes[i]`` of the
-    column slice ``cells``, whose columns form a cell grid of shape
-    ``grid``. A pair pass has ``grid = (ka, kb)`` and may also set the
-    bin columns of its grid row, ``rows.start + codes[i] // kb``, and of
-    its grid column, ``cols.start + codes[i] % kb``; ``rows`` and
+    A design of ``expand_features(dataset, 0)`` has the raw features as
+    its columns and no pass. A binned design has no raw column (``raw``
+    is n x 0) and only indicator columns, from 0 contiguously, so
+    :attr:`d` is the end of the last pass's cells. ``feature_names``
+    names the dataset's features either way. Each pass ``(codes, cells,
+    grid, rows, cols)`` sets, in row i, column ``cells.start + codes[i]``
+    of the column slice ``cells``, whose columns form a cell grid of
+    shape ``grid``. A pair pass has ``grid = (ka, kb)`` and may also set
+    the level columns of its grid row, ``rows.start + codes[i] // kb``,
+    and of its grid column, ``cols.start + codes[i] % kb``; ``rows`` and
     ``cols`` are None when it does not, as in a bin pass, whose grid is
-    ``(k,)``. ``pass_features`` holds, per pass, the indices of its raw
-    features: ``(a, b)`` for the pair whose cell codes are
+    ``(k,)``. ``pass_features`` holds, per pass, the indices of its
+    dataset features: ``(a, b)`` for the pair whose cell codes are
     ``codes_a * kb + codes_b``, ``(j,)`` for the bins of feature j.
     """
 
@@ -428,7 +433,7 @@ def fit(design: Design) -> PropensityModel:
     Hessian-vector products on the row passes, so no n x D matrix is
     formed. It is preconditioned by the exact Hessian block of each
     pass, rebuilt from the step's curvature; the blocks keep O(cells +
-    m^2) numbers each, m the pass's bin, raw and intercept columns, and
+    m^2) numbers each, m the pass's bin and intercept columns, and
     a design without passes runs plain CG. The solve stops at the
     Eisenstat-Walker forcing term (see the module docstring) or once the
     residual max-norm is at most half the gradient tolerance;
@@ -471,9 +476,7 @@ def fit(design: Design) -> PropensityModel:
             partial(_hess_vec, x_std, curvature),
             grad,
             forcing,
-            _schwarz.preconditioner(
-                groups, identity, x_std, curvature, _L2_LAMBDA
-            ),
+            _schwarz.preconditioner(groups, identity, curvature, _L2_LAMBDA),
         )
         cg_iters.append(iters)
         # halve the step until the loss stops increasing
@@ -615,25 +618,25 @@ def _is_binary(column: NDArray[np.float64]) -> bool:
 
 
 def expand_features(dataset: Dataset, bins: int) -> Design:
-    """Augment features with bin indicators and pairwise interaction cells.
+    """Recode features as level indicators and pairwise interaction cells.
 
     ``bins`` = 0 gives the raw design: the dataset's columns and no
     indicator columns. Otherwise every non-constant feature gets a
     level code per row: binary columns use their own value (2 levels),
     other numeric columns are cut into ``bins`` equal-width intervals
-    over their observed range. The columns are the raw features, then
-    one block of bin indicators per numeric (non-binary) feature, then
-    one block of cells per feature pair in feature order, stopping at
-    the first pair that would take the design past
+    over their observed range. The design then holds no raw column:
+    its columns are one block of level indicators per non-constant
+    feature, then one block of cells per feature pair in feature order,
+    stopping at the first pair that would take the design past
     :data:`MAX_DESIGN_COLUMNS` (logged as a warning). It raises
     ``ValueError`` when ``bins`` is neither 0 nor at least 2, when the
-    raw columns and bin blocks alone pass the cap, or when a column's
-    range gives a bin width of 0 or inf. The returned :class:`Design`
-    holds the indicator columns as row passes, never as the n x D
-    matrix: the bins of each feature no kept pair contains, then each
-    kept pair together with the bins of its features that no earlier
-    pair carries. Empty levels are constant columns, which the fit
-    leaves at weight zero.
+    level blocks alone pass the cap, or when a column's range gives a
+    bin width of 0 or inf. The returned :class:`Design` holds the
+    indicator columns as row passes, never as the n x D matrix: the
+    levels of each feature no kept pair contains, then each kept pair
+    together with the levels of its features that no earlier pair
+    carries. Empty levels are constant columns, which the fit leaves at
+    weight zero.
     """
     if bins < 0 or bins == 1:
         raise ValueError(f"bins must be 0 or >= 2, got {bins}")
@@ -641,10 +644,10 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
     names = dataset.feature_names
     if bins == 0:
         return Design(feats, dataset.treatment, names)
-    n_cols = feats.shape[1]
+    n_cols = 0
     # per non-constant feature: (index, level codes, level count)
     coded: list[tuple[int, NDArray[np.int64], int]] = []
-    # feature index -> (codes, columns) of its bins, until a pair takes them
+    # feature index -> (codes, columns) of its levels, until a pair takes them
     unabsorbed: dict[int, tuple[NDArray[np.int64], slice]] = {}
     for j in range(feats.shape[1]):
         col = feats[:, j]
@@ -653,20 +656,21 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
         if lo == hi:
             continue
         if _is_binary(col):
-            coded.append((j, col.astype(np.int64), 2))
-            continue
-        # Python floats overflow to inf and underflow to 0 silently
-        width = (hi - lo) / bins
-        if not 0.0 < width < np.inf:
-            raise ValueError(
-                f"expand_features: column {names[j]!r} spans "
-                f"[{lo!r}, {hi!r}], so its {bins} equal-width bins would "
-                f"have width {width!r}"
-            )
-        idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
-        coded.append((j, idx, bins))
-        unabsorbed[j] = (idx, slice(n_cols, n_cols + bins))
-        n_cols += bins
+            idx, k = col.astype(np.int64), 2
+        else:
+            # Python floats overflow to inf and underflow to 0 silently
+            width = (hi - lo) / bins
+            if not 0.0 < width < np.inf:
+                raise ValueError(
+                    f"expand_features: column {names[j]!r} spans "
+                    f"[{lo!r}, {hi!r}], so its {bins} equal-width bins "
+                    f"would have width {width!r}"
+                )
+            idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
+            k = bins
+        coded.append((j, idx, k))
+        unabsorbed[j] = (idx, slice(n_cols, n_cols + k))
+        n_cols += k
     if n_cols > MAX_DESIGN_COLUMNS:
         raise ValueError(
             f"expand_features: {n_cols} columns before any feature pair "
@@ -690,9 +694,10 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
         ))
         pair_features.append((a, b))
         n_cols += ka * kb
-    lone = [(codes, cells, (bins,), None, None)
+    lone = [(codes, cells, (cells.stop - cells.start,), None, None)
             for codes, cells in unabsorbed.values()]
     return Design(
-        feats, dataset.treatment, names, tuple(lone + pairs),
+        np.empty((dataset.n, 0)), dataset.treatment, names,
+        tuple(lone + pairs),
         tuple([(j,) for j in unabsorbed] + pair_features),
     )

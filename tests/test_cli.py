@@ -94,6 +94,17 @@ class TestUsageErrors:
         assert code == 1
         assert "propensity_bins must be 0 or >= 2" in capsys.readouterr().err
 
+    def test_negative_seed_exit_1(self, carved_csv, tmp_path, capsys):
+        code = main(
+            [
+                "analyze", carved_csv, "--treatment-col", "treatment",
+                "--folds", "3", "--seed", "-1", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bins_past_column_cap_exit_1(self, carved_csv, tmp_path, capsys):
         code = main(
             [

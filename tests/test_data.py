@@ -58,6 +58,10 @@ class TestConfig:
             {"propensity_bins": -1},
             # one bin would otherwise fail late, inside expand_features
             {"propensity_bins": 1},
+            # numpy's generator would otherwise reject it after the load
+            {"seed": -1},
+            # deeper trees would overflow the stack when grown
+            {"max_depth": 501},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

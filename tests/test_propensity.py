@@ -317,13 +317,13 @@ class TestPredict:
             predict(model, renamed)
 
     def test_design_of_other_bins_rejected(self):
-        # the same raw names, but 82 design columns where the model has 290
+        # the same raw names, but 80 design columns where the model has 288
         rng = np.random.default_rng(7)
         treatment = rng.integers(0, 2, 200)
         treatment[0], treatment[1] = 0, 1
         ds = Dataset(rng.uniform(0, 1, (200, 2)), treatment)
         model = fit(expand_features(ds, 16))
-        assert model.weights.size == 290
+        assert model.weights.size == 288
         with pytest.raises(ValueError, match="feature names"):
             predict(model, expand_features(ds, 8))
 
@@ -508,22 +508,22 @@ class TestExpandFeatures:
         treatment[0], treatment[1] = 0, 1
         return Dataset(features, treatment, ("a", "b", "flag", "const"))
 
-    # the layout of make() at 4 bins: raw a, b, flag, const (0..3); the
-    # bins of a (4..7) and of b (8..11); the cells of a * b (12..27),
-    # which carry both bin blocks, of a * flag (28..35) and of b * flag
-    # (36..43)
+    # the layout of make() at 4 bins: the bins of a (0..3) and of b
+    # (4..7), the two levels of flag (8, 9); the cells of a * b (10..25),
+    # which carry both bin blocks, of a * flag (26..33), which carry
+    # flag's levels, and of b * flag (34..41); const has no column
 
-    def test_keeps_raw_columns_first(self):
+    def test_holds_no_raw_columns(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
         assert out.feature_names == ds.feature_names
-        np.testing.assert_array_equal(out.raw, ds.features)
+        assert out.raw.shape == (ds.n, 0)
         np.testing.assert_array_equal(out.treatment, ds.treatment)
         assert out.n == ds.n
-        assert out.d == 44
-        # the indicator blocks tile the columns from the last raw one on
+        assert out.d == 42
+        # the indicator blocks tile the columns from the first on
         cols = [cols for _, cols in indicator_blocks(out)]
-        assert [c.start for c in cols] == [4] + [c.stop for c in cols[:-1]]
+        assert [c.start for c in cols] == [0] + [c.stop for c in cols[:-1]]
         assert cols[-1].stop == out.d
 
     def test_zero_bins_is_the_raw_design(self):
@@ -544,43 +544,45 @@ class TestExpandFeatures:
     def test_indicator_blocks_partition_rows(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
-        for start in (4, 8):
+        for start, levels in ((0, 4), (4, 4), (8, 2)):
             codes, k = block_at(out, start)
-            assert k == 4
+            assert k == levels
             assert_partitions_rows(codes, k, ds.n)
 
-    def test_binary_and_constant_columns_add_no_indicators(self):
+    def test_binary_column_is_a_two_level_block(self):
         ds = self.make()
         out = expand_features(ds, bins=4)
-        # flag's two levels are only the grid columns of its pairs, and
-        # const is in no pass
+        # flag's two levels are the grid columns of a * flag, the first
+        # pair that contains it, and const is in no pass
         assert [p[1:] for p in out.passes] == [
-            (slice(12, 28), (4, 4), slice(4, 8), slice(8, 12)),
-            (slice(28, 36), (4, 2), None, None),
-            (slice(36, 44), (4, 2), None, None),
+            (slice(10, 26), (4, 4), slice(0, 4), slice(4, 8)),
+            (slice(26, 34), (4, 2), None, slice(8, 10)),
+            (slice(34, 42), (4, 2), None, None),
         ]
         assert out.pass_features == ((0, 1), (0, 2), (1, 2))
+        codes, _ = block_at(out, 8)
+        np.testing.assert_array_equal(codes, ds.features[:, 2])
 
     def test_pair_cells_partition_rows(self):
         ds = self.make()
         out = expand_features(ds, bins=3)
-        # a * b follows the 3 bins of a and of b
-        assert out.passes[0][1:3] == (slice(10, 19), (3, 3))
-        codes, k = block_at(out, 10)
+        # a * b follows the 3 bins of a and of b and the 2 levels of flag
+        assert out.passes[0][1:3] == (slice(8, 17), (3, 3))
+        codes, k = block_at(out, 8)
         assert k == 9
         assert_partitions_rows(codes, k, ds.n)
 
     def test_binary_column_pairs_at_two_bins(self):
         ds = self.make()
         out = expand_features(ds, bins=2)
-        # the bins of a, then of b; flag has none; then the cells of
-        # a * b, a * flag and b * flag
+        # the bins of a, then of b, then the levels of flag; then the
+        # cells of a * b, a * flag and b * flag
         assert [cols for _, cols in indicator_blocks(out)] == [
-            slice(4, 6), slice(6, 8),
-            slice(8, 12), slice(12, 16), slice(16, 20),
+            slice(0, 2), slice(2, 4), slice(4, 6),
+            slice(6, 10), slice(10, 14), slice(14, 18),
         ]
         assert [p[2] for p in out.passes] == [(2, 2)] * 3
-        codes, k = block_at(out, 12)
+        codes, k = block_at(out, 10)
         assert k == 4
         assert_partitions_rows(codes, k, ds.n)
         flag = ds.features[:, 2]
@@ -596,7 +598,7 @@ class TestExpandFeatures:
         with caplog.at_level(logging.WARNING, logger="positivity.propensity"):
             out = expand_features(ds, bins=bins)
         assert "column cap 2048 reached" in caplog.text
-        mains = d + d * bins
+        mains = d * bins
         kept = (MAX_DESIGN_COLUMNS - mains) // (bins * bins)
         assert out.d == mains + kept * bins * bins <= MAX_DESIGN_COLUMNS
         assert out.feature_names == ds.feature_names
@@ -619,11 +621,11 @@ class TestExpandFeatures:
         treatment = rng.integers(0, 2, 50)
         treatment[0], treatment[1] = 0, 1
         ds = Dataset(rng.uniform(0, 1, (50, 3)), treatment)
-        with pytest.raises(ValueError, match="9003 columns .* cap 2048"):
+        with pytest.raises(ValueError, match="9000 columns .* cap 2048"):
             expand_features(ds, bins=3000)
         # just under the cap the bin blocks are kept and no pair fits
-        out = expand_features(ds, bins=(MAX_DESIGN_COLUMNS - 3) // 3)
-        assert out.d == 3 + 3 * 681 <= MAX_DESIGN_COLUMNS
+        out = expand_features(ds, bins=MAX_DESIGN_COLUMNS // 3)
+        assert out.d == 3 * 682 <= MAX_DESIGN_COLUMNS
         assert len(out.passes) == 3
 
     def test_cap_checked_without_per_column_memory(self):
@@ -633,7 +635,7 @@ class TestExpandFeatures:
         treatment[0], treatment[1] = 0, 1
         ds = Dataset(rng.uniform(0, 1, (50, 3)), treatment)
         message = (
-            "expand_features: 1200003 columns before any feature pair "
+            "expand_features: 1200000 columns before any feature pair "
             "exceed the column cap 2048; use fewer bins"
         )
         tracemalloc.start()
@@ -659,24 +661,24 @@ class TestExpandFeatures:
 
     @pytest.mark.parametrize("capped", [False, True], ids=["small", "capped"])
     def test_decoded_bins_match_raw_binning(self, capped):
-        # capped: x0's bins are the grid rows of x0 * x1, x2 .. x8's the
-        # grid columns of x0 * x2 .. x0 * x8, x9's a pass of their own
+        # capped: x0's bins are the grid rows of x0 * x1, x1's levels and
+        # x2 .. x8's bins the grid columns of x0 * x1 .. x0 * x8, x9's a
+        # pass of their own
         ds, bins = (capped_dataset(), 16) if capped else (self.make(), 4)
         out = expand_features(ds, bins=bins)
-        numeric = [
-            j for j, col in enumerate(ds.features.T)
-            if col.min() < col.max() and set(col) != {0.0, 1.0}
-        ]
-        # one block per numeric feature, in feature order, after the raw
-        # columns; binary and constant features have none
-        want = {
-            ds.d + bins * rank: raw_bins(ds.features[:, j], bins)
-            for rank, j in enumerate(numeric)
-        }
-        bins_end = ds.d + bins * len(numeric)
+        # one block per non-constant feature, in feature order: a binary
+        # feature's levels are its values; constant features have none
+        want = {}
+        end = 0
+        for col in ds.features.T:
+            if col.min() == col.max():
+                continue
+            binary = set(col) == {0.0, 1.0}
+            want[end] = col if binary else raw_bins(col, bins)
+            end += 2 if binary else bins
         decoded = {
             cols.start: codes for codes, cols in indicator_blocks(out)
-            if cols.start < bins_end
+            if cols.start < end
         }
         assert decoded.keys() == want.keys()
         for start, codes in want.items():
@@ -747,22 +749,26 @@ class TestDesignParity:
     """The level-code operator against the materialized dense design."""
 
     def test_capped_pass_layout(self):
-        # columns: 10 raw, then 16 bins for each of x0, x2 .. x9. The cap
-        # keeps x0 * x1 .. x0 * x8: x0 * x1 carries x0's bins as its grid
-        # rows, x0 * x2 .. x0 * x8 carry x2 .. x8's as grid columns, and
-        # x9's bins, which no kept pair contains, get a pass first
-        bins = [slice(start, start + 16) for start in range(10, 154, 16)]
-        pairs = [slice(154, 186)] + [
-            slice(start, start + 256) for start in range(186, 1978, 256)
+        # columns: 16 bins of x0, the 2 levels of the binary x1, 16 bins
+        # for each of x2 .. x9. The cap keeps x0 * x1 .. x0 * x8: x0 * x1
+        # carries x0's bins as its grid rows and x1's levels as its grid
+        # columns, x0 * x2 .. x0 * x8 carry x2 .. x8's bins as grid
+        # columns, and x9's bins, which no kept pair contains, get a pass
+        # first
+        levels = [slice(0, 16), slice(16, 18)] + [
+            slice(start, start + 16) for start in range(18, 146, 16)
         ]
-        layout = [(pairs[0], (16, 2), bins[0], None)] + [
+        pairs = [slice(146, 178)] + [
+            slice(start, start + 256) for start in range(178, 1970, 256)
+        ]
+        layout = [(pairs[0], (16, 2), levels[0], levels[1])] + [
             (cells, (16, 16), None, cols)
-            for cells, cols in zip(pairs[1:], bins[1:8])
+            for cells, cols in zip(pairs[1:], levels[2:9])
         ]
         design = capped_design()
-        assert design.d == 1978
+        assert design.d == 1970
         assert [p[1:] for p in design.passes] == [
-            (bins[8], (16,), None, None)
+            (levels[9], (16,), None, None)
         ] + layout
         assert design.pass_features == (
             ((9,),) + tuple((0, b) for b in range(1, 9))
@@ -820,11 +826,11 @@ class TestDesignParity:
         np.testing.assert_allclose(stds, x.std(axis=0), rtol=0, atol=tol)
         constant = x.std(axis=0) == 0.0
         np.testing.assert_array_equal(stds == 0.0, constant)
-        # columns: a, gapped, flag, const, then the 4 bins of a and of
-        # gapped; gapped's bins 1 and 2 (columns 9 and 10) hold no row
+        # columns: the 4 bins of a and of gapped, then flag's 2 levels;
+        # gapped's bins 1 and 2 (columns 5 and 6) hold no row
         constant_cols = set(np.flatnonzero(constant))
-        assert {3, 9, 10} <= constant_cols
-        assert 2 not in constant_cols
+        assert {5, 6} <= constant_cols
+        assert not {8, 9} & constant_cols
 
     def test_hessian_vector_matches_central_differences(self):
         design = gapped_design()
@@ -871,7 +877,7 @@ class TestDesignParity:
         # The dense reference has no passes, so its fit runs plain CG,
         # while the level-code fit is preconditioned: the two stop at
         # different points of the 1e-8 gradient ball. With about 133
-        # training rows for 1978 columns at lambda 1e-4 that ball is wide
+        # training rows for 1970 columns at lambda 1e-4 that ball is wide
         # in scores, so each model is checked on the other's design.
         for (train, model), (dense_train, dense_model) in zip(
             fits[:folds], fits[folds:]
@@ -905,11 +911,14 @@ def assert_gradient_below_tolerance(model, design):
     assert np.abs(grad).max() < 1e-8
 
 
+def ten_covariate_dataset():
+    return generate(SynthSpec(n=4000, noise_covariates=8), seed=1)
+
+
 @pytest.fixture(scope="module")
 def ten_covariate_design():
-    """A 10-covariate design at the column cap: 1962 columns."""
-    spec = SynthSpec(n=4000, noise_covariates=8)
-    return expand_features(generate(spec, seed=1), 16)
+    """A 10-covariate design at the column cap: 1952 columns."""
+    return expand_features(ten_covariate_dataset(), 16)
 
 
 class TestInexactNewton:
@@ -929,8 +938,8 @@ class TestInexactNewton:
         model = fit(ten_covariate_design)
         assert model.converged
         assert len(calls) == sum(model.cg_iters)
-        # plain CG at the Eisenstat-Walker forcing term spent 494
-        # products here in 10 Newton steps, the pass blocks 83
+        # plain CG at the Eisenstat-Walker forcing term spent 1813
+        # products here in 11 Newton steps, the pass blocks 80 in 10
         assert len(calls) <= 124
 
     def test_capped_fit_convergence_is_real(self, ten_covariate_design):
@@ -939,10 +948,10 @@ class TestInexactNewton:
         )
 
     def test_every_cross_fit_fold_convergence_is_real(self, monkeypatch):
-        # the planted_xfit benchmark recipe: 290 columns, 5 folds
+        # the planted_xfit benchmark recipe: 288 columns, 5 folds
         spec = SynthSpec(n=20000, carve=DEFAULT_CARVE, carve_mode="reassign")
         design = expand_features(generate(spec, seed=1), 16)
-        assert design.d == 290
+        assert design.d == 288
         fits = record_fits(monkeypatch)
         result = fit_predict(design, Config(cross_fit_folds=5, seed=0))
         assert len(fits) == 5
@@ -968,7 +977,7 @@ def pass_blocks(design, lam, seed=31):
     curvature = p * (1.0 - p) / design.n
     groups, _ = _schwarz.pass_groups(design, op)
     blocks = [
-        _schwarz.PassBlocks(group, op, curvature, lam) for group in groups
+        _schwarz.PassBlocks(group, curvature, lam) for group in groups
     ]
     return blocks, dense_hessian(design, curvature, lam), rng
 
@@ -1002,10 +1011,10 @@ class TestPassBlocks:
         gapped, capped = gapped_design(), capped_design()
         grids = {p[2] for p in gapped.passes + capped.passes}
         assert grids == {(16,), (16, 2), (16, 16), (4, 4), (4, 2)}
-        # the constant raw column const (3), the binary flag (2) and
-        # gapped's empty bins 1 and 2 (columns 9 and 10)
+        # gapped's empty bins 1 and 2 (columns 5 and 6), and the live
+        # levels of the binary flag (8 and 9)
         _, constant = dense_standardized(gapped)
-        assert constant[[3, 9, 10]].all() and not constant[2]
+        assert constant[[5, 6]].all() and not constant[[8, 9]].any()
 
     @pytest.mark.parametrize("binary", [False, True], ids=["d2", "binary"])
     def test_one_block_spends_one_product_per_step(self, binary):
@@ -1024,7 +1033,9 @@ class TestPassBlocks:
 
     def test_fit_memory_bounded_by_codes_and_raw(self, ten_covariate_design):
         design = ten_covariate_design
-        held = design.raw.nbytes + sum(p[0].nbytes for p in design.passes)
+        # the design holds the codes alone; the features stay in the dataset
+        features = ten_covariate_dataset().features
+        held = features.nbytes + sum(p[0].nbytes for p in design.passes)
         tracemalloc.start()
         try:
             fit(design)
@@ -1035,11 +1046,10 @@ class TestPassBlocks:
         assert peak <= 1.5 * held
 
     def test_lone_passes_beat_plain_cg(self, monkeypatch):
-        # 120 numeric columns fill the cap with bins: one pass each, no
-        # pair, 2040 columns. At 2000 rows, where the columns outnumber
-        # the rows, the blocks spent 135-162 products against plain CG's
-        # 105-130 on six data draws; from about twice as many rows on
-        # they win
+        # 120 numeric columns leave no room under the cap for a pair:
+        # one pass of bins each, 1920 columns. At 2000 rows, where the
+        # columns nearly match the rows, the blocks spent 125-142 products
+        # against plain CG's 180-235 on data seeds 0-5
         rng = np.random.default_rng(33)
         features = rng.uniform(0, 1, (4000, 120))
         z = features[:, 0] - features[:, 1]
@@ -1052,7 +1062,7 @@ class TestPassBlocks:
         )
         plain = fit(design)
         assert blocked.converged and plain.converged
-        # 130 against 288
+        # 120 against 214
         assert sum(blocked.cg_iters) < 0.75 * sum(plain.cg_iters)
 
 
@@ -1106,26 +1116,27 @@ class TestPassFit:
     for bit.
 
     The digests of the scores and the CG iteration counts were recorded
-    with the pass blocks in place; they hold only if every operation of
-    the preconditioned fit on these designs is unchanged.
+    with the pass blocks in place, on designs of level blocks and cells
+    alone; they hold only if every operation of the preconditioned fit
+    on these designs is unchanged.
     """
 
     def test_cross_fit_pinned(self):
-        # the planted_xfit benchmark recipe at n=2000: 290 columns
+        # the planted_xfit benchmark recipe at n=2000: 288 columns
         spec = SynthSpec(n=2000, carve=DEFAULT_CARVE, carve_mode="reassign")
         design = expand_features(generate(spec, seed=1), 16)
-        assert design.d == 290
+        assert design.d == 288
         result = fit_predict(design, Config(cross_fit_folds=5, seed=0))
         assert result.cg_iters == (9, 9, 9, 9, 9)
         assert hashlib.sha256(result.scores.tobytes()).hexdigest() == (
-            "30d8bd1fac358be41e3d0a2a7e438a31"
-            "ec93b8bf5323cc49e90142cce455f8a4"
+            "8a49862028a2d8fcfb3bb8aef92f324a"
+            "c2d82673e1a27107616e5bbbaa0e21d9"
         )
 
     def test_capped_in_sample_pinned(self, ten_covariate_design):
         result = fit_predict(ten_covariate_design, Config())
-        assert result.cg_iters == (83,)
+        assert result.cg_iters == (80,)
         assert hashlib.sha256(result.scores.tobytes()).hexdigest() == (
-            "a7ee7b5b9eb240f3c0f91d328ac0c558"
-            "2eb14b68fac74d11bd016f31f6a32eb7"
+            "3e301e6701460fe01311b3875747e786"
+            "540cde6703697dba90c4b2120882b338"
         )

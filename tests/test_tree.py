@@ -18,6 +18,7 @@ from positivity import (
     render_tree_text,
 )
 from positivity import tree as tree_module
+from positivity.data import MAX_TREE_DEPTH
 from positivity.explain import extract_rules
 from positivity.synth import DEFAULT_CARVE
 from positivity.tree import (
@@ -279,6 +280,22 @@ class TestBuildTree:
         assert tree.root.is_leaf
         assert tree.root.n_pos == 1
         assert tree.root.n_neg == 1
+
+    def test_deepest_allowed_tree_builds_and_renders(self):
+        # alternating labels along one column: every split cuts one row
+        # off, so the tree grows to the depth cap, and growth, pruning,
+        # rule extraction and rendering recurse that deep
+        x = np.arange(4000, dtype=np.float64).reshape(-1, 1)
+        labels = np.arange(4000) % 2
+        config = Config(max_depth=MAX_TREE_DEPTH)
+        tree = prune(
+            build_tree(x, labels, config, pruned=True),
+            config.beta, config.gamma,
+        )
+        depth = max(node.depth for node in collect_nodes(tree.root))
+        assert depth == MAX_TREE_DEPTH == 500
+        assert extract_rules(tree, config.beta)
+        assert render_tree_text(tree).count("leaf:") == 501
 
     def test_single_class_rejected(self):
         features = np.array([[1.0], [2.0]])
