@@ -38,6 +38,17 @@ pass's codes. Coordinates no block covers, constant columns among them,
 get the identity, so on a design without passes the preconditioner
 returns its input bit for bit and the fit runs plain CG.
 
+A binned design's row is a function of its features' level codes, so
+the fit needs only, per level tuple that occurs, its row count c and
+treated count t: it runs on those distinct rows, with loss
+sum(c softplus(z) - t z) / n, residual c p - t and curvature
+c p (1 - p) / n, as histogram boosting gathers its gradient statistics
+per bin (Ke et al., "LightGBM", NeurIPS 2017). Rows merge when the
+product of the features' level counts is at most n / 2: a design of two
+features at 16 bins is fit on at most 256 rows, whatever n. A raw
+design, or a binned one past that bound, is fit row by row through the
+same arithmetic with counts of 1, which leaves every sum as it was.
+
 :func:`fit_predict` optionally cross-fits with k folds keyed by the
 config seed; the default (folds = 1) scores in-sample.
 
@@ -66,6 +77,7 @@ own bins. A product with the standardized design costs one gather
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -207,21 +219,28 @@ def _sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
 def _loss_grad_p(
     params: NDArray[np.float64],
     features_std: NDArray[np.float64],
-    labels: NDArray[np.float64],
+    counts: NDArray[np.float64],
+    treated: NDArray[np.float64],
     l2_lambda: float,
 ) -> tuple[float, NDArray[np.float64], NDArray[np.float64]]:
-    """:func:`logistic_loss_grad` plus the per-row scores p it computed."""
+    """:func:`logistic_loss_grad` over counted rows, plus their scores p.
+
+    Row i stands for ``counts[i]`` rows of one design row, ``treated[i]``
+    of them treated, so the mean is over ``n = sum(counts)`` rows and a
+    row's residual is ``c p - t``. With counts of 1 and 0/1 labels as
+    ``treated`` this is the loss over plain rows.
+    """
     w = params[:-1]
     b = params[-1]
     z = features_std @ w + b
     softplus, p = _softplus_sigmoid(z)
-    ce = softplus - labels * z
-    loss = float(ce.mean() + 0.5 * l2_lambda * (w @ w))
-    resid = p - labels
-    n = labels.shape[0]
+    n = counts.sum()
+    ce = counts * softplus - treated * z
+    loss = float(ce.sum() / n + 0.5 * l2_lambda * (w @ w))
+    resid = counts * p - treated
     grad = np.empty(params.shape[0], dtype=np.float64)
     grad[:-1] = resid @ features_std / n + l2_lambda * w
-    grad[-1] = resid.mean()
+    grad[-1] = resid.sum() / n
     return loss, grad, p
 
 
@@ -240,11 +259,13 @@ def logistic_loss_grad(
     separately so the analytic gradient can be checked against finite
     differences.
     """
-    return _loss_grad_p(params, features_std, labels, l2_lambda)[:2]
+    return _loss_grad_p(
+        params, features_std, np.ones_like(labels), labels, l2_lambda
+    )[:2]
 
 
 def _indicator_sums(passes, weights, out: NDArray[np.float64]):
-    """Per-column sums of ``weights`` (None: ones) over the indicator rows.
+    """Per-column sums of ``weights`` over the indicator rows.
 
     Writes every indicator column of ``out`` from one ``np.bincount``
     per pass; a pass's bin columns are the margins of its cell grid.
@@ -259,12 +280,15 @@ def _indicator_sums(passes, weights, out: NDArray[np.float64]):
     return out
 
 
-def _column_moments(design: Design):
+def _column_moments(design: Design, counts: NDArray[np.float64]):
     """Column means and standard deviations of the full design.
 
-    Raw columns use ``mean``/``std`` over rows. An indicator column with
-    level share p has mean p and standard deviation sqrt(p (1 - p)); the
-    shares come from integer row counts. Raises ``ValueError`` naming
+    Row i of ``design`` stands for ``counts[i]`` rows. Raw columns use
+    ``mean``/``std`` over rows, and are only ever in designs of counts
+    of 1, since :func:`_distinct_rows` merges no design with raw
+    columns. An indicator column with level share p has mean p and
+    standard deviation sqrt(p (1 - p)); the shares come from the
+    integer row counts summed per column. Raises ``ValueError`` naming
     the first raw column whose mean or standard deviation overflows, or
     whose standard deviation underflows to 0 although its values differ.
     """
@@ -288,9 +312,9 @@ def _column_moments(design: Design):
             f"propensity fit: column {design.feature_names[j]!r} spans "
             f"[{lo!r}, {hi!r}], so its {problem}"
         )
-    means = _indicator_sums(design.passes, None, np.empty(design.d))
+    means = _indicator_sums(design.passes, counts, np.empty(design.d))
     means[:d_raw] = raw_means
-    means[d_raw:] /= design.n
+    means[d_raw:] /= counts.sum()
     share = means[d_raw:]
     stds = np.concatenate([raw_stds, np.sqrt(share * (1.0 - share))])
     return means, stds
@@ -342,8 +366,9 @@ def _hess_vec(
 ) -> NDArray[np.float64]:
     """Hessian of the loss times ``v`` (weights, then intercept).
 
-    ``curvature`` is the per-row weight p (1 - p) / n at the point
-    where the Hessian is taken; the penalty is the fixed 1e-4.
+    ``curvature`` is the per-row weight c p (1 - p) / n at the point
+    where the Hessian is taken, c the row's count; the penalty is the
+    fixed 1e-4.
     """
     u = curvature * (x_std @ v[:-1] + v[-1])
     out = np.empty_like(v)
@@ -426,12 +451,62 @@ def _check_finite(loss: float, grad: NDArray[np.float64], it: int) -> None:
         )
 
 
+def _distinct_rows(design: Design):
+    """The design's distinct rows, with each one's row and treated counts.
+
+    Returns ``(rows, counts, treated)``: a design of one row per level
+    tuple that occurs, and per row the float count of design rows with
+    that tuple and how many of them are treated. Each feature's level
+    codes are read off the first pass that holds them, a lone pass's
+    codes or ``codes // kb`` and ``codes % kb`` of a pair pass, and make
+    one mixed-radix key per row; one ``np.bincount`` over the keys counts
+    the rows, one more the treated, and any row of a key stands for all
+    of them, since they share every pass's code. Rows merge only when
+    the product of the level counts is at most n / 2, so the rows at
+    least halve and the count table has fewer than n entries. Otherwise,
+    and for a design with raw columns, whose rows the codes do not
+    determine, it returns the design itself with counts of 1.
+    """
+    n = design.n
+    # feature -> (codes, grid, position) of the first pass holding it
+    levels = {}
+    for (codes, _, grid, _, _), feats in zip(
+        design.passes, design.pass_features
+    ):
+        for pos, j in enumerate(feats):
+            levels.setdefault(j, (codes, grid, pos))
+    size = math.prod(grid[pos] for _, grid, pos in levels.values())
+    if design.raw.shape[1] or 2 * size > n:
+        return design, np.ones(n), design.treatment.astype(np.float64)
+    key = np.zeros(n, dtype=np.int64)
+    for codes, grid, pos in levels.values():
+        key *= grid[pos]
+        if len(grid) == 1:
+            key += codes
+        elif pos == 0:
+            key += codes // grid[1]
+        else:
+            key += codes % grid[1]
+    counts = np.bincount(key, minlength=size)
+    distinct = np.flatnonzero(counts)
+    row_of = np.empty(size, dtype=np.intp)
+    row_of[key] = np.arange(n)
+    return (
+        design.take(row_of[distinct]),
+        counts[distinct].astype(np.float64),
+        np.bincount(key, design.treatment, size)[distinct],
+    )
+
+
 def fit(design: Design) -> PropensityModel:
     """Fit the logistic model at the fixed penalty 1e-4 to a design.
 
-    Each Newton step is a truncated conjugate-gradient solve from
-    Hessian-vector products on the row passes, so no n x D matrix is
-    formed. It is preconditioned by the exact Hessian block of each
+    Rows that share every feature's level are merged into one row
+    with a count, when the product of the level counts is at most
+    n / 2 (see the module docstring); the debug log line of a
+    converged fit names how many rows the fit ran on. Each Newton step
+    is a truncated conjugate-gradient solve from Hessian-vector
+    products on the row passes, so no n x D matrix is formed. It is preconditioned by the exact Hessian block of each
     pass, rebuilt from the step's curvature; the blocks keep O(cells +
     m^2) numbers each, m the pass's bin and intercept columns, and
     a design without passes runs plain CG. The solve stops at the
@@ -453,14 +528,14 @@ def fit(design: Design) -> PropensityModel:
             f"propensity fit: no {missing} row among the {design.n} "
             "training rows"
         )
-    means, stds = _column_moments(design)
+    rows, counts, treated = _distinct_rows(design)
+    means, stds = _column_moments(rows, counts)
     constant = stds == 0.0
-    x_std = _Standardized(design, means, stds)
-    groups, identity = _schwarz.pass_groups(design, x_std)
-    labels = design.treatment.astype(np.float64)
+    x_std = _Standardized(rows, means, stds)
+    groups, identity = _schwarz.pass_groups(rows, x_std)
     n = design.n
     params = np.zeros(design.d + 1, dtype=np.float64)
-    loss, grad, p = _loss_grad_p(params, x_std, labels, _L2_LAMBDA)
+    loss, grad, p = _loss_grad_p(params, x_std, counts, treated, _L2_LAMBDA)
     _check_finite(loss, grad, 0)
     it = 0
     forcing = _FORCING_MAX
@@ -468,9 +543,10 @@ def fit(design: Design) -> PropensityModel:
     stop = f"at the limit of {_MAX_NEWTON_STEPS} Newton steps"
     while it < _MAX_NEWTON_STEPS and np.abs(grad).max() >= _GRAD_TOL:
         it += 1
-        # p (1 - p) / n, written over p, which the line search replaces
+        # c p (1 - p) / n, written over p, which the line search replaces
         curvature = p
         curvature *= 1.0 - p
+        curvature *= counts
         curvature /= n
         step, resid, iters = _newton_step(
             partial(_hess_vec, x_std, curvature),
@@ -484,7 +560,7 @@ def fit(design: Design) -> PropensityModel:
         for _ in range(_MAX_HALVINGS):
             candidate = params - scale * step
             new_loss, new_grad, new_p = _loss_grad_p(
-                candidate, x_std, labels, _L2_LAMBDA
+                candidate, x_std, counts, treated, _L2_LAMBDA
             )
             if np.isfinite(new_loss) and new_loss <= loss:
                 break
@@ -509,8 +585,9 @@ def fit(design: Design) -> PropensityModel:
         )
     else:
         logger.debug(
-            "propensity fit converged in %d iterations, %d CG iterations",
-            it, sum(cg_iters),
+            "propensity fit converged in %d iterations, %d CG iterations "
+            "on %d distinct rows of %d",
+            it, sum(cg_iters), rows.n, n,
         )
     weights = params[:-1].copy()
     weights[constant] = 0.0

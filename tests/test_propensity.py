@@ -724,6 +724,13 @@ def capped_design():
     return expand_features(capped_dataset(), bins=16)
 
 
+def standardized(design):
+    """The fit's standardized operator on a design of plain rows."""
+    return propensity._Standardized(
+        design, *propensity._column_moments(design, np.ones(design.n))
+    )
+
+
 def dense_standardized(design):
     x = dense(design)
     means = x.mean(axis=0)
@@ -789,9 +796,7 @@ class TestDesignParity:
     def test_loss_grad_match_dense(self, make):
         design = make()
         x_std, _ = dense_standardized(design)
-        op = propensity._Standardized(
-            design, *propensity._column_moments(design)
-        )
+        op = standardized(design)
         labels = design.treatment.astype(np.float64)
         rng = np.random.default_rng(22)
         for lam in (0.0, 1e-4, 0.5):
@@ -807,9 +812,7 @@ class TestDesignParity:
     def test_transposed_product_matches_dense(self, make):
         design = make()
         x_std, _ = dense_standardized(design)
-        op = propensity._Standardized(
-            design, *propensity._column_moments(design)
-        )
+        op = standardized(design)
         r = np.random.default_rng(24).standard_normal(design.n)
         got = r @ op
         # ndarray @ op deferred to op.__rmatmul__: no object array
@@ -819,7 +822,7 @@ class TestDesignParity:
     def test_moments_match_dense(self):
         design = gapped_design()
         x = dense(design)
-        means, stds = propensity._column_moments(design)
+        means, stds = propensity._column_moments(design, np.ones(design.n))
         # n rounding errors of one ulp each at most
         tol = design.n * np.finfo(np.float64).eps
         np.testing.assert_allclose(means, x.mean(axis=0), rtol=0, atol=tol)
@@ -834,9 +837,7 @@ class TestDesignParity:
 
     def test_hessian_vector_matches_central_differences(self):
         design = gapped_design()
-        op = propensity._Standardized(
-            design, *propensity._column_moments(design)
-        )
+        op = standardized(design)
         labels = design.treatment.astype(np.float64)
         lam = propensity._L2_LAMBDA
         rng = np.random.default_rng(23)
@@ -904,7 +905,7 @@ def assert_gradient_below_tolerance(model, design):
     standardized as the fit standardizes it.
     """
     assert model.converged
-    op = propensity._Standardized(design, *propensity._column_moments(design))
+    op = standardized(design)
     params = np.append(model.weights, model.intercept)
     labels = design.treatment.astype(np.float64)
     _, grad = logistic_loss_grad(params, op, labels, propensity._L2_LAMBDA)
@@ -970,7 +971,7 @@ def dense_hessian(design, curvature, lam):
 
 def pass_blocks(design, lam, seed=31):
     """The passes' blocks at a random point, and the dense Hessian there."""
-    op = propensity._Standardized(design, *propensity._column_moments(design))
+    op = standardized(design)
     rng = np.random.default_rng(seed)
     params = 0.3 * rng.standard_normal(design.d + 1)
     p = propensity._sigmoid(op @ params[:-1] + params[-1])
@@ -1122,15 +1123,18 @@ class TestPassFit:
     """
 
     def test_cross_fit_pinned(self):
-        # the planted_xfit benchmark recipe at n=2000: 288 columns
+        # the planted_xfit benchmark recipe at n=2000: 288 columns. Each
+        # fold's 1600 rows merge into at most 256; the digest was taken
+        # with the merge, whose scores differ from the row-by-row fit's
+        # by at most 1.0e-14, at the same CG iterations
         spec = SynthSpec(n=2000, carve=DEFAULT_CARVE, carve_mode="reassign")
         design = expand_features(generate(spec, seed=1), 16)
         assert design.d == 288
         result = fit_predict(design, Config(cross_fit_folds=5, seed=0))
         assert result.cg_iters == (9, 9, 9, 9, 9)
         assert hashlib.sha256(result.scores.tobytes()).hexdigest() == (
-            "8a49862028a2d8fcfb3bb8aef92f324a"
-            "c2d82673e1a27107616e5bbbaa0e21d9"
+            "8b663f953ba6719b6b323d023f4c9dcd"
+            "9bf0c0ef7c5c0ab4fb4b67b3e198d125"
         )
 
     def test_capped_in_sample_pinned(self, ten_covariate_design):
@@ -1140,3 +1144,145 @@ class TestPassFit:
             "3e301e6701460fe01311b3875747e786"
             "540cde6703697dba90c4b2120882b338"
         )
+
+
+def one_hot_design(n=4000):
+    """profile_age and a 5-level categorical, one-hot coded: 16 * 2^5
+    level tuples, so the fit merges rows from n = 1024 on."""
+    base = generate(SynthSpec(n=n), seed=4)
+    level = np.random.default_rng(4).integers(0, 5, n)
+    one_hot = (level[:, None] == np.arange(5)).astype(np.float64)
+    features = np.column_stack([base.features[:, 0], one_hot])
+    treatment = np.where(level == 2, 0, base.treatment)
+    treatment[0] = 1
+    return expand_features(Dataset(features, treatment), 16)
+
+
+def binary_design(n=3000):
+    """A numeric column and a binary one: 32 level tuples."""
+    rng = np.random.default_rng(32)
+    features = rng.uniform(0, 1, (n, 2))
+    features[:, 1] = features[:, 1] < 0.3
+    z = 2.0 * features[:, 0] - 1.0 + features[:, 1]
+    treatment = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(int)
+    return expand_features(Dataset(features, treatment), 16)
+
+
+def synth_design(n=4000):
+    """The README recipe: two numeric columns, 256 level tuples."""
+    return expand_features(generate(SynthSpec(n=n), seed=1), 16)
+
+
+class TestDistinctRows:
+    """Rows that share every feature's level are fit as one counted row."""
+
+    @staticmethod
+    def merged_and_plain(design, folds, monkeypatch):
+        """fit_predict with rows merged, then with every row kept."""
+        assert propensity._distinct_rows(design)[0].n <= design.n // 2
+        config = Config(cross_fit_folds=folds, seed=0)
+        merged = fit_predict(design, config)
+        monkeypatch.setattr(
+            propensity,
+            "_distinct_rows",
+            lambda d: (d, np.ones(d.n), d.treatment.astype(np.float64)),
+        )
+        return merged, fit_predict(design, config)
+
+    @pytest.mark.parametrize(
+        "make, folds",
+        [
+            pytest.param(synth_design, 1, id="d2"),
+            pytest.param(binary_design, 1, id="binary"),
+            pytest.param(synth_design, 5, id="d2-folds5"),
+        ],
+    )
+    def test_merging_changes_only_rounding(self, make, folds, monkeypatch):
+        merged, plain = self.merged_and_plain(make(), folds, monkeypatch)
+        np.testing.assert_allclose(
+            merged.scores, plain.scores, rtol=0, atol=1e-12
+        )
+        assert merged.n_iter == plain.n_iter
+        assert merged.cg_iters == plain.cg_iters
+
+    def test_merged_one_hot_fit_converges_on_every_row(self, monkeypatch):
+        # The one-hot columns sum to 1 and level 2 is never treated, so
+        # the fit is ill-conditioned and rounding alone moves its scores
+        # well past 1e-12: a row permutation of the row-by-row fit moved
+        # them by up to 4e-10 on data seeds 4-6, the merge by up to
+        # 4.5e-8, at the 1e-8 gradient tolerance either way. The merged
+        # model must still pass that tolerance on the rows themselves.
+        design = one_hot_design()
+        assert_gradient_below_tolerance(fit(design), design)
+        merged, plain = self.merged_and_plain(design, 1, monkeypatch)
+        assert merged.n_iter == plain.n_iter
+        np.testing.assert_allclose(
+            merged.scores, plain.scores, rtol=0, atol=1e-6
+        )
+
+    @pytest.mark.parametrize(
+        "make", [synth_design, one_hot_design], ids=["d2", "one-hot"]
+    )
+    def test_duplicated_rows_give_the_same_model(self, make):
+        # every count and n double exactly, so every sum doubles and
+        # every mean is unchanged bit for bit
+        design = make()
+        doubled = design.take(np.tile(np.arange(design.n), 2))
+        once, twice = fit(design), fit(doubled)
+        np.testing.assert_array_equal(once.weights, twice.weights)
+        assert once.intercept == twice.intercept
+        assert (once.n_iter, once.cg_iters) == (twice.n_iter, twice.cg_iters)
+
+    def test_merged_rows_carry_counts(self):
+        design = binary_design()
+        rows, counts, treated = propensity._distinct_rows(design)
+        # every (bin, flag) tuple occurs at 3000 rows
+        assert rows.n == 32 and rows.d == design.d
+        assert counts.sum() == design.n
+        assert treated.sum() == design.treatment.sum()
+        assert (0 <= treated).all() and (treated <= counts).all()
+        x, x_rows = dense(design), dense(rows)
+        for row, count, n_treated in zip(x_rows, counts, treated):
+            same = (x == row).all(axis=1)
+            assert same.sum() == count
+            assert design.treatment[same].sum() == n_treated
+
+    @pytest.mark.parametrize("bins, merged", [(16, True), (23, False)])
+    def test_merges_at_level_product_of_half_the_rows(self, bins, merged):
+        # 2 columns: 16^2 = 256 level tuples merge at 512 rows, 23^2 = 529
+        # do not
+        design = expand_features(generate(SynthSpec(n=512), seed=1), bins)
+        rows, counts, treated = propensity._distinct_rows(design)
+        assert (rows.n < design.n) == merged
+        if not merged:
+            assert rows is design and (counts == 1.0).all()
+            np.testing.assert_array_equal(treated, design.treatment)
+
+    def test_raw_design_is_not_merged(self):
+        # 0/1 raw columns repeat rows, but a raw design is never merged
+        features = np.tile([[0.0, 1.0], [1.0, 0.0]], (50, 1))
+        design = raw_design(features, np.tile([0, 1, 1, 0], 25))
+        assert propensity._distinct_rows(design)[0] is design
+
+    def test_log_names_distinct_rows(self, caplog):
+        design = synth_design()
+        with caplog.at_level(logging.DEBUG, logger="positivity.propensity"):
+            fit(design)
+        rows = propensity._distinct_rows(design)[0].n
+        assert rows <= 256
+        assert f"CG iterations on {rows} distinct rows of 4000" in caplog.text
+
+    def test_fit_memory_bounded_by_codes_and_raw(self):
+        # the planted_xfit benchmark recipe: the key and the count table
+        # are O(n). The row-by-row fit peaked at 2.8x here, the merged
+        # fit at 0.7x
+        features = generate(SynthSpec(n=20000), seed=1).features
+        design = expand_features(generate(SynthSpec(n=20000), seed=1), 16)
+        held = features.nbytes + sum(p[0].nbytes for p in design.passes)
+        tracemalloc.start()
+        try:
+            fit(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * held
