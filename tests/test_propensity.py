@@ -1241,15 +1241,21 @@ class TestDistinctRows:
         assert counts.sum() == design.n
         assert treated.sum() == design.treatment.sum()
         assert (0 <= treated).all() and (treated <= counts).all()
+        # integer counts per column: the moments match bit for bit
+        for got, want in zip(
+            propensity._column_moments(rows, counts),
+            propensity._column_moments(design, np.ones(design.n)),
+        ):
+            np.testing.assert_array_equal(got, want)
         x, x_rows = dense(design), dense(rows)
         for row, count, n_treated in zip(x_rows, counts, treated):
             same = (x == row).all(axis=1)
             assert same.sum() == count
             assert design.treatment[same].sum() == n_treated
 
-    @pytest.mark.parametrize("bins, merged", [(16, True), (23, False)])
+    @pytest.mark.parametrize("bins, merged", [(16, True), (17, False)])
     def test_merges_at_level_product_of_half_the_rows(self, bins, merged):
-        # 2 columns: 16^2 = 256 level tuples merge at 512 rows, 23^2 = 529
+        # 2 columns: 16^2 = 256 level tuples merge at 512 rows, 17^2 = 289
         # do not
         design = expand_features(generate(SynthSpec(n=512), seed=1), bins)
         rows, counts, treated = propensity._distinct_rows(design)
