@@ -506,10 +506,11 @@ def fit(design: Design) -> PropensityModel:
     n / 2 (see the module docstring); the debug log line of a
     converged fit names how many rows the fit ran on. Each Newton step
     is a truncated conjugate-gradient solve from Hessian-vector
-    products on the row passes, so no n x D matrix is formed. It is preconditioned by the exact Hessian block of each
-    pass, rebuilt from the step's curvature; the blocks keep O(cells +
-    m^2) numbers each, m the pass's bin and intercept columns, and
-    a design without passes runs plain CG. The solve stops at the
+    products on the row passes, so no n x D matrix is formed. It is
+    preconditioned by the exact Hessian block of each pass, rebuilt
+    from the step's curvature; the blocks keep O(cells + m^2) numbers
+    each, m the pass's bin and intercept columns, and a design without
+    passes runs plain CG. The solve stops at the
     Eisenstat-Walker forcing term (see the module docstring) or once the
     residual max-norm is at most half the gradient tolerance;
     ``cg_iters`` records its iterations (Hessian-vector products) per
