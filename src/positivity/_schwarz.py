@@ -165,17 +165,7 @@ def pass_groups(design: Design, x_std):
     d = design.d
     scale = np.append(x_std.scale, 1.0)
     shift = np.append(x_std.means * x_std.scale, 0.0)
-    bins = {}
-    for (_, cells, grid, rows, cols), feats in zip(
-        design.passes, design.pass_features
-    ):
-        if len(grid) == 1:
-            bins[feats[0]] = cells
-        else:
-            bins.update(
-                (j, margin) for j, margin in zip(feats, (rows, cols))
-                if margin is not None
-            )
+    columns = design.level_columns
     groups = {}
     for (codes, cells, grid, _, _), feats in zip(
         design.passes, design.pass_features
@@ -184,7 +174,7 @@ def pass_groups(design: Design, x_std):
         own = []
         if len(grid) == 2:
             own = [
-                (lev, bins[j])
+                (lev, columns[j])
                 for j, lev in zip(feats, (cell // grid[1], cell % grid[1]))
             ]
         starts = np.cumsum([0] + [b.stop - b.start for _, b in own])

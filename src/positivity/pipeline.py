@@ -57,9 +57,11 @@ def analyze_dataset(dataset: Dataset, config: Config = Config()) -> AnalysisResu
 
     design = expand_features(dataset, config.propensity_bins)
     logger.info(
-        "propensity design: %d columns (%d raw)", design.d, design.raw.shape[1]
+        "propensity design: %d columns (%d raw, %d level blocks, %d pairs)",
+        design.d, design.raw.shape[1], len(design.sizes), len(design.pairs),
     )
     propensity = fit_predict(design, config)
+    del design  # the trees need neither its level codes nor its passes
     logger.info(
         "propensity fit: auc=%.4f log_loss=%.4f", propensity.auc,
         propensity.log_loss,

@@ -65,22 +65,22 @@ Hooker, "Accurate intelligible models with pairwise interactions", KDD
 2013). Pair blocks are added in feature order up to
 :data:`MAX_DESIGN_COLUMNS` columns; the pairs past the cap are dropped
 with a logged warning. The design is never materialized: a
-:class:`Design` holds its indicator columns as row passes, each one
-vector of integer codes. A pair's cell codes
-``ca * kb + cb`` also give the bin levels of both of its features, so
-the pass of the first kept pair that contains a feature carries that
-feature's bins too; a feature no kept pair contains has a pass of its
-own bins. A product with the standardized design costs one gather
-(``X @ w``) or one ``np.bincount`` (``r @ X``) per pass.
+:class:`Design` holds each non-constant feature's level codes and the
+kept pairs, and derives the row passes that products read. A pair's
+cell codes ``ca * kb + cb`` also give both of its features' levels, so
+the first kept pair that contains a feature sets that feature's level
+columns too; a feature no kept pair contains has a pass of its own. A
+product with the standardized design costs one gather (``X @ w``) or
+one ``np.bincount`` (``r @ X``) per pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from itertools import accumulate, combinations
 
 import numpy as np
 from numpy.typing import NDArray
@@ -151,29 +151,32 @@ class PropensityResult:
 
 @dataclass(frozen=True)
 class Design:
-    """Raw columns or indicator columns held as row passes.
+    """Raw columns, or level codes and the pairs of them kept.
 
-    A design of ``expand_features(dataset, 0)`` has the raw features as
-    its columns and no pass. A binned design has no raw column (``raw``
-    is n x 0) and only indicator columns, from 0 contiguously, so
-    :attr:`d` is the end of the last pass's cells. ``feature_names``
-    names the dataset's features either way. Each pass ``(codes, cells,
-    grid, rows, cols)`` sets, in row i, column ``cells.start + codes[i]``
-    of the column slice ``cells``, whose columns form a cell grid of
-    shape ``grid``. A pair pass has ``grid = (ka, kb)`` and may also set
-    the level columns of its grid row, ``rows.start + codes[i] // kb``,
-    and of its grid column, ``cols.start + codes[i] % kb``; ``rows`` and
-    ``cols`` are None when it does not, as in a bin pass, whose grid is
-    ``(k,)``. ``pass_features`` holds, per pass, the indices of its
-    dataset features: ``(a, b)`` for the pair whose cell codes are
-    ``codes_a * kb + codes_b``, ``(j,)`` for the bins of feature j.
+    ``expand_features(dataset, 0)`` gives the raw features as columns and
+    no levels. A binned design has no raw column (``raw`` is n x 0): its
+    columns are, from 0, ``sizes[i]`` level indicators per ``levels``
+    row i, one feature's codes, then per pair ``(a, b)`` of ``pairs``
+    ``ka * kb`` cells, cell ``codes_a * kb + codes_b``.
+
+    Products read the binned columns as row passes, derived and cached
+    here. Pass ``(codes, cells, grid, rows, cols)`` sets, in row i,
+    column ``cells.start + codes[i]`` of the slice ``cells``, a cell grid
+    of shape ``grid``: ``(k,)`` for a lone pass, whose codes are a
+    ``levels`` row, ``(ka, kb)`` for a pair's. A pair pass also sets the
+    level columns ``rows.start + codes[i] // kb`` and ``cols.start +
+    codes[i] % kb`` of the rows it is the first to read; ``rows`` and
+    ``cols`` are None otherwise. ``pass_features`` gives each pass's
+    ``levels`` rows (a constant feature has none): ``(j,)`` for each
+    row no pair reads, then the pairs.
     """
 
     raw: NDArray[np.float64]
     treatment: NDArray[np.int64]
     feature_names: tuple[str, ...]
-    passes: tuple[tuple, ...] = ()
-    pass_features: tuple[tuple[int, ...], ...] = ()
+    levels: tuple[NDArray[np.intp], ...] = ()
+    sizes: tuple[int, ...] = ()
+    pairs: tuple[tuple[int, int], ...] = ()
 
     @property
     def n(self) -> int:
@@ -181,17 +184,49 @@ class Design:
 
     @property
     def d(self) -> int:
-        # bin blocks precede every pair's cells, so the last cells end D
-        return max([self.raw.shape[1]] + [p[1].stop for p in self.passes])
+        return self.raw.shape[1] + sum(self.sizes) + sum(
+            self.sizes[a] * self.sizes[b] for a, b in self.pairs
+        )
+
+    @property
+    def level_columns(self) -> tuple[slice, ...]:
+        """The columns of each ``levels`` row's block, in row order."""
+        ends = list(accumulate(self.sizes, initial=0))
+        return tuple(map(slice, ends, ends[1:]))
+
+    @cached_property
+    def pass_features(self) -> tuple[tuple[int, ...], ...]:
+        paired = {j for pair in self.pairs for j in pair}
+        lone = [(j,) for j in range(len(self.sizes)) if j not in paired]
+        return tuple(lone) + self.pairs
+
+    @cached_property
+    def passes(self) -> tuple[tuple, ...]:
+        """The row passes, in :attr:`pass_features` order."""
+        levels, sizes = self.levels, self.sizes
+        # the level columns that no pair before has set
+        unset = list(self.level_columns)
+        start = sum(sizes)
+        pairs = []
+        for a, b in self.pairs:
+            cells = slice(start, start + sizes[a] * sizes[b])
+            pairs.append((
+                levels[a] * sizes[b] + levels[b], cells,
+                (sizes[a], sizes[b]), unset[a], unset[b],
+            ))
+            unset[a] = unset[b] = None
+            start = cells.stop
+        lone = [
+            (levels[j], cols, (sizes[j],), None, None)
+            for j, cols in enumerate(unset) if cols is not None
+        ]
+        return tuple(lone + pairs)
 
     def take(self, rows: NDArray[np.intp]) -> Design:
         """The same design restricted to ``rows``."""
-        return Design(
-            self.raw[rows],
-            self.treatment[rows],
-            self.feature_names,
-            tuple((codes[rows], *rest) for codes, *rest in self.passes),
-            self.pass_features,
+        return replace(
+            self, raw=self.raw[rows], treatment=self.treatment[rows],
+            levels=tuple(codes[rows] for codes in self.levels),
         )
 
 
@@ -456,37 +491,24 @@ def _distinct_rows(design: Design):
 
     Returns ``(rows, counts, treated)``: a design of one row per level
     tuple that occurs, and per row the float count of design rows with
-    that tuple and how many of them are treated. Each feature's level
-    codes are read off the first pass that holds them, a lone pass's
-    codes or ``codes // kb`` and ``codes % kb`` of a pair pass, and make
-    one mixed-radix key per row; one ``np.bincount`` over the keys counts
-    the rows, one more the treated, and any row of a key stands for all
-    of them, since they share every pass's code. Rows merge only when
-    the product of the level counts is at most n / 2, so the rows at
-    least halve and the count table has fewer than n entries. Otherwise,
-    and for a design with raw columns, whose rows the codes do not
-    determine, it returns the design itself with counts of 1.
+    that tuple and how many of them are treated. The ``levels`` rows
+    make one mixed-radix key per design row; one ``np.bincount`` over
+    the keys counts the rows, one more the treated, and any row of a key
+    stands for all of them, since they share every pass's code. Rows
+    merge only when the product of the level counts is at most n / 2,
+    so the rows at least halve and the count table has fewer than n
+    entries. Otherwise, and for a design with raw columns, whose rows
+    the codes do not determine, it returns the design itself with
+    counts of 1.
     """
     n = design.n
-    # feature -> (codes, grid, position) of the first pass holding it
-    levels = {}
-    for (codes, _, grid, _, _), feats in zip(
-        design.passes, design.pass_features
-    ):
-        for pos, j in enumerate(feats):
-            levels.setdefault(j, (codes, grid, pos))
-    size = math.prod(grid[pos] for _, grid, pos in levels.values())
+    size = math.prod(design.sizes)
     if design.raw.shape[1] or 2 * size > n:
         return design, np.ones(n), design.treatment.astype(np.float64)
-    key = np.zeros(n, dtype=np.int64)
-    for codes, grid, pos in levels.values():
-        key *= grid[pos]
-        if len(grid) == 1:
-            key += codes
-        elif pos == 0:
-            key += codes // grid[1]
-        else:
-            key += codes % grid[1]
+    key = np.zeros(n, dtype=np.intp)
+    for codes, k in zip(design.levels, design.sizes):
+        key *= k
+        key += codes
     counts = np.bincount(key, minlength=size)
     distinct = np.flatnonzero(counts)
     row_of = np.empty(size, dtype=np.intp)
@@ -706,15 +728,13 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
     its columns are one block of level indicators per non-constant
     feature, then one block of cells per feature pair in feature order,
     stopping at the first pair that would take the design past
-    :data:`MAX_DESIGN_COLUMNS` (logged as a warning). It raises
-    ``ValueError`` when ``bins`` is neither 0 nor at least 2, when the
-    level blocks alone pass the cap, or when a column's range gives a
-    bin width of 0 or inf. The returned :class:`Design` holds the
-    indicator columns as row passes, never as the n x D matrix: the
-    levels of each feature no kept pair contains, then each kept pair
-    together with the levels of its features that no earlier pair
-    carries. Empty levels are constant columns, which the fit leaves at
-    weight zero.
+    :data:`MAX_DESIGN_COLUMNS` (logged as a warning that says how many
+    pairs were kept). It raises ``ValueError`` when ``bins`` is neither
+    0 nor at least 2, when the level blocks alone pass the cap, or when
+    a column's range gives a bin width of 0 or inf. The returned
+    :class:`Design` holds the level codes and the kept pairs, never the
+    n x D matrix. Empty levels are constant columns, which the fit
+    leaves at weight zero.
     """
     if bins < 0 or bins == 1:
         raise ValueError(f"bins must be 0 or >= 2, got {bins}")
@@ -722,11 +742,8 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
     names = dataset.feature_names
     if bins == 0:
         return Design(feats, dataset.treatment, names)
-    n_cols = 0
-    # per non-constant feature: (index, level codes, level count)
-    coded: list[tuple[int, NDArray[np.int64], int]] = []
-    # feature index -> (codes, columns) of its levels, until a pair takes them
-    unabsorbed: dict[int, tuple[NDArray[np.int64], slice]] = {}
+    # per non-constant feature: its level codes and level count
+    levels, sizes = [], []
     for j in range(feats.shape[1]):
         col = feats[:, j]
         lo = float(col.min())
@@ -734,7 +751,7 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
         if lo == hi:
             continue
         if _is_binary(col):
-            idx, k = col.astype(np.int64), 2
+            codes, k = col.astype(np.intp), 2
         else:
             # Python floats overflow to inf and underflow to 0 silently
             width = (hi - lo) / bins
@@ -744,38 +761,28 @@ def expand_features(dataset: Dataset, bins: int) -> Design:
                     f"[{lo!r}, {hi!r}], so its {bins} equal-width bins "
                     f"would have width {width!r}"
                 )
-            idx = np.minimum(((col - lo) / width).astype(np.int64), bins - 1)
+            codes = np.minimum(((col - lo) / width).astype(np.intp), bins - 1)
             k = bins
-        coded.append((j, idx, k))
-        unabsorbed[j] = (idx, slice(n_cols, n_cols + k))
-        n_cols += k
+        levels.append(codes)
+        sizes.append(k)
+    n_cols = sum(sizes)
     if n_cols > MAX_DESIGN_COLUMNS:
         raise ValueError(
             f"expand_features: {n_cols} columns before any feature pair "
             f"exceed the column cap {MAX_DESIGN_COLUMNS}; use fewer bins"
         )
     pairs = []
-    pair_features = []
-    for (a, codes_a, ka), (b, codes_b, kb) in combinations(coded, 2):
-        if n_cols + ka * kb > MAX_DESIGN_COLUMNS:
+    for a, b in combinations(range(len(sizes)), 2):
+        if n_cols + sizes[a] * sizes[b] > MAX_DESIGN_COLUMNS:
             logger.warning(
-                "expand_features: column cap %d reached, skipping "
-                "remaining feature pairs", MAX_DESIGN_COLUMNS,
+                "expand_features: column cap %d reached: kept %d of %d "
+                "feature pairs", MAX_DESIGN_COLUMNS, len(pairs),
+                math.comb(len(sizes), 2),
             )
             break
-        pairs.append((
-            codes_a * kb + codes_b,
-            slice(n_cols, n_cols + ka * kb),
-            (ka, kb),
-            unabsorbed.pop(a, (None, None))[1],
-            unabsorbed.pop(b, (None, None))[1],
-        ))
-        pair_features.append((a, b))
-        n_cols += ka * kb
-    lone = [(codes, cells, (cells.stop - cells.start,), None, None)
-            for codes, cells in unabsorbed.values()]
+        pairs.append((a, b))
+        n_cols += sizes[a] * sizes[b]
     return Design(
         np.empty((dataset.n, 0)), dataset.treatment, names,
-        tuple(lone + pairs),
-        tuple([(j,) for j in unabsorbed] + pair_features),
+        tuple(levels), tuple(sizes), tuple(pairs),
     )

@@ -2,10 +2,11 @@
 overlap must leave the analysis's verdict (and, where stated, its
 significant bins and the rows its rule sets cover) unchanged.
 
-Every relation runs the default in-sample ``Config``. Cross-fitting
-assigns folds by row position, so under a row shuffle only in-sample
-scoring promises the same bins and rules; with ``--folds`` above 1 only
-rates over many datasets (verdict share, recall) would agree.
+Every relation runs the default in-sample ``Config``, and an added
+constant column also 5 folds. Cross-fitting assigns folds by row
+position, so under a row shuffle only in-sample scoring promises the
+same bins and rules; with ``--folds`` above 1 only rates over many
+datasets (verdict share, recall) would agree.
 """
 
 import numpy as np
@@ -13,8 +14,13 @@ import pytest
 
 from positivity import Config, Dataset, SynthSpec, analyze_dataset, generate
 from positivity import ruleset_mask
+from positivity.cli import _write_outputs
 
 GROUPS = (0, 1)
+REPORT_FILES = (
+    "report.txt", "report.json", "histogram.svg", "tree_control.txt",
+    "tree_treated.txt",
+)
 
 
 @pytest.fixture(
@@ -111,3 +117,27 @@ def test_names_like_indicator_columns_change_nothing(base):
     assert np.array_equal(got.report.bin_mask, want.report.bin_mask)
     for group in GROUPS:
         assert np.array_equal(covered(got, group), covered(want, group))
+
+
+def report_files(dataset, config, out_dir):
+    """The bytes of the five files ``positivity analyze`` writes."""
+    _write_outputs(analyze_dataset(dataset, config), str(out_dir))
+    return {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+
+
+@pytest.mark.parametrize("folds", [1, 5], ids=["in-sample", "folds5"])
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "between"])
+def test_constant_column_changes_no_report_byte(at, folds, tmp_path):
+    # a constant column has no levels, so the design's blocks, numbered
+    # by its level rows, are the same; the trees never split on it
+    dataset = generate(SynthSpec(), seed=0)
+    config = Config(cross_fit_folds=folds)
+    names = dataset.feature_names
+    padded = Dataset(
+        np.insert(dataset.features, at, 7.0, axis=1),
+        dataset.treatment,
+        names[:at] + ("constant",) + names[at:],
+    )
+    assert report_files(padded, config, tmp_path / "padded") == (
+        report_files(dataset, config, tmp_path / "base")
+    )

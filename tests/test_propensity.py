@@ -1,10 +1,12 @@
 """Logistic propensity model: loss, fit, predict, metrics, expansion."""
 
+import gc
 import hashlib
 import logging
 import math
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positivity import Config, Dataset, SynthSpec, generate
+from positivity import Config, Dataset, SynthSpec, analyze_dataset, generate
 from positivity.propensity import (
     MAX_DESIGN_COLUMNS,
     auc,
@@ -24,7 +26,7 @@ from positivity.propensity import (
     logistic_loss_grad,
     predict,
 )
-from positivity import _schwarz, propensity
+from positivity import _schwarz, pipeline, propensity
 from positivity.synth import DEFAULT_CARVE
 
 from oracles import reference_sigmoid, reference_softplus
@@ -722,6 +724,41 @@ def capped_dataset():
 def capped_design():
     """A capped design: every kind of pass, see test_capped_pass_layout."""
     return expand_features(capped_dataset(), bins=16)
+
+
+def test_capped_design_says_what_it_kept(caplog):
+    # capped_design keeps x0 * x1 .. x0 * x8 of the 45 pairs
+    with caplog.at_level(logging.INFO, logger="positivity"):
+        analyze_dataset(capped_dataset(), Config())
+    assert (
+        "column cap 2048 reached: kept 8 of 45 feature pairs" in caplog.text
+    )
+    assert (
+        "propensity design: 1970 columns (0 raw, 10 level blocks, 8 pairs)"
+        in caplog.text
+    )
+
+
+def test_design_released_before_trees(monkeypatch):
+    # the trees read the raw features, so the design's level codes and
+    # the passes the fit cached must be freed before they grow
+    designs, held = [], []
+    expand, build = pipeline.expand_features, pipeline.build_tree
+
+    def recording_expand(*args):
+        design = expand(*args)
+        designs.append(weakref.ref(design))
+        return design
+
+    def checking_build(*args, **kwargs):
+        gc.collect()
+        held.append(designs[0]() is not None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "expand_features", recording_expand)
+    monkeypatch.setattr(pipeline, "build_tree", checking_build)
+    analyze_dataset(generate(SynthSpec(), seed=0), Config())
+    assert held and not any(held)
 
 
 def standardized(design):
